@@ -22,33 +22,18 @@ use std::sync::{Arc, Mutex};
 /// a full run because every measurement is per-workload.
 pub const FAST_WORKLOADS: [&str; 4] = ["sc", "xlisp", "grep", "doduc"];
 
-/// Runs one workload end to end (phase 1): compile under `(profile,
-/// opt)`, simulate to completion, collect the trace, and validate the
-/// output against the workload's golden values.
-///
-/// This is the non-panicking replacement for the old `lvp-bench`
-/// `workload_trace` free function.
+/// Runs one workload end to end (phase 1) on a simulation engine:
+/// compile under `(profile, opt)`, simulate to completion, collect the
+/// trace, and validate the output against the workload's golden values.
+/// The engines are trace-identical (enforced by the differential
+/// suite), so the choice never affects results — only trace-generation
+/// wall time.
 ///
 /// # Errors
 ///
 /// Returns [`HarnessError`] (phase [`Phase::Trace`]) if compilation
 /// fails, simulation faults or exhausts its fuel, or the self-check
 /// fails.
-pub fn run_workload(
-    w: &Workload,
-    profile: AsmProfile,
-    opt: OptLevel,
-) -> Result<WorkloadRun, HarnessError> {
-    run_workload_with(w, profile, opt, SimEngine::default())
-}
-
-/// [`run_workload`] on an explicit simulation engine. The engines are
-/// trace-identical (enforced by the differential suite), so the choice
-/// never affects results — only trace-generation wall time.
-///
-/// # Errors
-///
-/// Same conditions as [`run_workload`].
 pub fn run_workload_with(
     w: &Workload,
     profile: AsmProfile,
@@ -354,7 +339,7 @@ impl Ctx<'_> {
     ///
     /// # Errors
     ///
-    /// Propagates [`run_workload`] failures. Disk-cache problems are
+    /// Propagates [`run_workload_with`] failures. Disk-cache problems are
     /// never errors: a bad entry is a miss (regenerated and rewritten)
     /// and a failed write-back is ignored.
     pub fn workload_run(

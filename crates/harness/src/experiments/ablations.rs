@@ -5,10 +5,7 @@ use crate::error::HarnessError;
 use crate::plan::{ExperimentPlan, MachineModel};
 use crate::report::{geo_mean, Cell, ExperimentTable, Report};
 use lvp_lang::OptLevel;
-use lvp_predictor::{
-    evaluate_predictor, presets, BhrIndexedPredictor, FcmPredictor, LastValuePredictor,
-    LoadProfiler, LocalityMeter, LvpConfig, StridePredictor, ValuePredictor,
-};
+use lvp_predictor::{presets, LoadProfiler, LocalityMeter, LvpConfig};
 use lvp_trace::OpKind;
 use lvp_uarch::{dataflow_limit, LatencyTable, Ppc620Config};
 
@@ -123,95 +120,6 @@ pub(super) fn ablation_lct(engine: &Engine) -> Result<Report, HarnessError> {
     report.note(
         "Expected: wider counters suppress more mispredictions (higher accuracy)\n\
          but identify fewer predictable loads (slower to warm up).",
-    );
-    Ok(report)
-}
-
-/// Ablation — value predictor families: last-value vs stride vs FCM vs
-/// BHR-indexed, plus the any-of-4 oracle bound.
-pub(super) fn ablation_stride(engine: &Engine) -> Result<Report, HarnessError> {
-    let plan = ExperimentPlan::new()
-        .workloads(engine.suite().to_vec())
-        .map(|job, ctx| {
-            let run = ctx.job_run(job)?;
-            let mut lv = LastValuePredictor::new(1024);
-            let e_lv = evaluate_predictor(&mut lv, &run.trace);
-            let mut st = StridePredictor::new(1024);
-            let e_st = evaluate_predictor(&mut st, &run.trace);
-            let mut fcm = FcmPredictor::new(1024, 16384);
-            let e_fcm = evaluate_predictor(&mut fcm, &run.trace);
-
-            // The BHR-indexed predictor needs branch outcomes interleaved,
-            // so it is driven manually; the same pass computes the any-of-4
-            // oracle bound.
-            let mut bhr = BhrIndexedPredictor::new(4096, 4);
-            let mut lv2 = LastValuePredictor::new(1024);
-            let mut st2 = StridePredictor::new(1024);
-            let mut fcm2 = FcmPredictor::new(1024, 16384);
-            let (mut bhr_correct, mut any_correct, mut loads) = (0u64, 0u64, 0u64);
-            for e in run.trace.iter() {
-                if e.kind == OpKind::CondBranch {
-                    let taken = e.branch.expect("branch outcome").taken;
-                    bhr.on_branch(taken);
-                    continue;
-                }
-                if !e.is_load() {
-                    continue;
-                }
-                let Some(mem) = e.mem else { continue };
-                loads += 1;
-                let b = bhr.predict(e.pc) == Some(mem.value);
-                let others = lv2.predict(e.pc) == Some(mem.value)
-                    || st2.predict(e.pc) == Some(mem.value)
-                    || fcm2.predict(e.pc) == Some(mem.value);
-                bhr_correct += b as u64;
-                any_correct += (b || others) as u64;
-                bhr.train(e.pc, mem.value);
-                lv2.train(e.pc, mem.value);
-                st2.train(e.pc, mem.value);
-                fcm2.train(e.pc, mem.value);
-            }
-            Ok([
-                e_lv.hit_rate(),
-                e_st.hit_rate(),
-                e_fcm.hit_rate(),
-                bhr_correct as f64 / loads.max(1) as f64,
-                any_correct as f64 / loads.max(1) as f64,
-            ])
-        });
-    let results = engine.run(plan)?;
-
-    let mut report = Report::new(
-        "ablation_stride",
-        "Ablation: value predictor families (1024-entry L1 tables, hit rate = correct/loads)",
-    );
-    let mut t = ExperimentTable::new(vec![
-        "benchmark",
-        "last-value",
-        "stride",
-        "fcm(2)",
-        "bhr-indexed",
-        "any-of-4",
-    ]);
-    let mut gms: Vec<Vec<f64>> = vec![Vec::new(); 5];
-    for (w, hits) in engine.suite().iter().zip(&results) {
-        let mut row = vec![Cell::text(w.name)];
-        for (i, &h) in hits.iter().enumerate() {
-            gms[i].push(h);
-            row.push(Cell::Pct1(h));
-        }
-        t.row(row);
-    }
-    let mut gm = vec![Cell::text("GM")];
-    for g in &gms {
-        gm.push(Cell::Pct1(geo_mean(g)));
-    }
-    t.row(gm);
-    report.section(None, t);
-    report.note(
-        "Expected: stride wins on induction loads, FCM on periodic sequences,\n\
-         BHR-indexing on control-dependent values; the any-of-4 oracle bound\n\
-         shows the headroom the paper's future-work section anticipates.",
     );
     Ok(report)
 }

@@ -2,11 +2,10 @@
 //! evaluation as a named, declarative plan over the engine.
 //!
 //! Each experiment is a function from an [`Engine`] to a [`Report`]; the
-//! registry maps the historical binary names (`table1`, `fig6`,
+//! registry maps the experiment names (`table1`, `fig6`,
 //! `ablation_lvpt`, ...) to those functions so that one process — `lvp
 //! bench --all` — can run any subset while sharing every trace,
-//! annotation and timing simulation through the engine's caches. The
-//! per-experiment binaries are one-line wrappers over [`bin_main`].
+//! annotation and timing simulation through the engine's caches.
 
 mod ablations;
 mod characterize;
@@ -24,7 +23,8 @@ use lvp_predictor::AddressRanges;
 
 /// One registered experiment.
 pub struct ExperimentDef {
-    /// Registry name — also the name of the standalone binary.
+    /// Registry name — the `lvp bench <name>` argument and the
+    /// `results/<name>.txt` file name.
     pub name: &'static str,
     /// One-line description shown by `lvp bench` listings.
     pub title: &'static str,
@@ -33,7 +33,7 @@ pub struct ExperimentDef {
 }
 
 /// All experiments, in the paper's presentation order.
-const REGISTRY: [ExperimentDef; 23] = [
+const REGISTRY: [ExperimentDef; 22] = [
     ExperimentDef {
         name: "table1",
         title: "benchmark descriptions & dynamic counts",
@@ -105,11 +105,6 @@ const REGISTRY: [ExperimentDef; 23] = [
         run: ablations::ablation_lct,
     },
     ExperimentDef {
-        name: "ablation_stride",
-        title: "value predictor families (stride/FCM/BHR)",
-        run: ablations::ablation_stride,
-    },
-    ExperimentDef {
         name: "ablation_opt",
         title: "compiler optimization vs value locality",
         run: ablations::ablation_opt,
@@ -161,24 +156,6 @@ pub fn experiment(name: &str) -> Option<&'static ExperimentDef> {
     REGISTRY.iter().find(|d| d.name == name)
 }
 
-/// Entry point shared by the per-experiment binaries: runs `name` on a
-/// full-suite engine and prints the text report, exiting nonzero with
-/// the failing workload and phase on error.
-pub fn bin_main(name: &str) {
-    let Some(def) = experiment(name) else {
-        eprintln!("unknown experiment `{name}`");
-        std::process::exit(2);
-    };
-    let engine = Engine::new();
-    match (def.run)(&engine) {
-        Ok(report) => print!("{}", report.render_text()),
-        Err(e) => {
-            eprintln!("{name}: {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
 /// Builds the Figure 2 value classifier from a program's layout.
 pub fn address_ranges(program: &Program) -> AddressRanges {
     let l = program.layout();
@@ -200,7 +177,7 @@ mod tests {
             assert!(seen.insert(d.name), "duplicate experiment {}", d.name);
             assert_eq!(experiment(d.name).unwrap().name, d.name);
         }
-        assert_eq!(experiments().len(), 23);
+        assert_eq!(experiments().len(), 22);
         assert!(experiment("nope").is_none());
     }
 }

@@ -1,8 +1,6 @@
 //! # lvp-harness — the experiment engine
 //!
-//! A typed, parallel, trace-caching harness for the paper's evaluation.
-//! It replaces the ad-hoc per-binary plumbing that `lvp-bench` grew up
-//! with:
+//! A typed, parallel, trace-caching harness for the paper's evaluation:
 //!
 //! * [`ExperimentPlan`] — a builder describing a job matrix over
 //!   (workload × [`AsmProfile`](lvp_isa::AsmProfile) ×
@@ -21,8 +19,7 @@
 //!   one renderer ([`Report::render_text`]), CSV another.
 //! * [`experiments`] — the registry of all paper experiments (tables,
 //!   figures, ablations), each a thin declarative plan. The `lvp bench`
-//!   subcommand and the per-experiment binaries both dispatch through
-//!   it.
+//!   subcommand dispatches through it.
 //!
 //! ## Pipeline
 //!
@@ -61,19 +58,16 @@ pub mod valueflow;
 pub use cache::{Annotation, EngineStats};
 pub use crosscheck::{cross_check, CrossCheckReport, CrossCheckViolation, ViolationKind};
 pub use disk::DiskCache;
-pub use engine::{run_workload, run_workload_with, Ctx, Engine, FAST_WORKLOADS};
+pub use engine::{run_workload_with, Ctx, Engine, FAST_WORKLOADS};
 pub use error::{ErrorKind, HarnessError, Phase};
-pub use experiments::{address_ranges, experiment, experiments, ExperimentDef};
+pub use experiments::{experiment, experiments, ExperimentDef};
 pub use perf::{
     benches, check, run as run_benches, BenchDef, BenchResult, PerfConfig, PerfError, PerfReport,
     Regression,
 };
 pub use plan::{ExperimentPlan, JobSpec, MachineModel, Plan};
-pub use report::{
-    geo_mean, pct, pct1, speedup, Cell, ExperimentRow, ExperimentTable, Report, Section,
-    TablePrinter,
-};
+pub use report::{geo_mean, Cell, ExperimentRow, ExperimentTable, Report, Section, TablePrinter};
 pub use valueflow::{
-    static_hints, value_flow_check, value_flow_check_with, ValueFlowCheckReport,
+    static_hints, value_flow_check, value_flow_check_with, PredEval, ValueFlowCheckReport,
     ValueFlowViolation, ValueFlowViolationKind, MIN_EXECUTIONS, STRIDE_ACCURACY_FLOOR,
 };

@@ -5,8 +5,8 @@
 //! against a real execution:
 //!
 //! 1. **Affine-stride** (`LVP012`) — the loaded value follows
-//!    `base + i*stride` around its loop. Replaying the trace through a
-//!    per-pc [`StridePredictor`] must then achieve at least
+//!    `base + i*stride` around its loop. Replaying the trace through the
+//!    two-delta stride [`Backend`] must then achieve at least
 //!    [`STRIDE_ACCURACY_FLOOR`] accuracy on that pc once the predictor
 //!    is warm ([`ValueFlowViolationKind::StrideMiss`] otherwise).
 //! 2. **Must-constant** — the strongest class, inherited from the
@@ -52,8 +52,7 @@ use lvp_analyze::{
 };
 use lvp_isa::Program;
 use lvp_predictor::{
-    evaluate_predictor_by_pc, presets, Backend, HintTable, Lct, LctConfig, LoadClass, PredEval,
-    PredictorKind, StaticHint, StridePredictor,
+    presets, Backend, HintTable, Lct, LctConfig, LoadClass, PredictorKind, StaticHint,
 };
 use lvp_trace::{OpKind, Trace};
 use std::collections::{BTreeMap, BTreeSet};
@@ -66,9 +65,9 @@ pub const MIN_EXECUTIONS: u64 = 8;
 pub const STRIDE_ACCURACY_FLOOR: f64 = 0.95;
 
 /// Minimum accuracy the backend nominated by a static class must reach
-/// on a judged claim. Lower than [`STRIDE_ACCURACY_FLOOR`]: the real
-/// backends pay warm-up and (for store-to-load) width-aliasing costs the
-/// idealized stride predictor does not.
+/// on a judged claim. Lower than [`STRIDE_ACCURACY_FLOOR`]: the
+/// last-value and store-to-load backends pay LCT warm-up and (for
+/// store-to-load) width-aliasing costs on every class they judge.
 pub const BACKEND_ACCURACY_FLOOR: f64 = 0.90;
 
 /// Minimum fraction of a claimed pc's executions the nominated backend
@@ -80,6 +79,28 @@ pub const BACKEND_COVERAGE_FLOOR: f64 = 0.5;
 /// Table sizes for the emulated predictors — large enough that distinct
 /// pcs in any workload never alias (texts are ≪ 256 KiB).
 const TABLE_ENTRIES: usize = 1 << 16;
+
+/// One pc's dynamic prediction tallies under one backend.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PredEval {
+    /// Dynamic loads observed.
+    pub loads: u64,
+    /// Loads for which the backend issued a prediction.
+    pub predicted: u64,
+    /// Issued predictions that matched the actual value.
+    pub correct: u64,
+}
+
+impl PredEval {
+    /// Fraction of predictions that were correct (0 when none issued).
+    pub fn accuracy(&self) -> f64 {
+        if self.predicted == 0 {
+            0.0
+        } else {
+            self.correct as f64 / self.predicted as f64
+        }
+    }
+}
 
 /// How a value-flow claim was contradicted dynamically.
 #[derive(Debug, Clone, PartialEq)]
@@ -309,9 +330,9 @@ pub fn value_flow_check_with(
     trace: &Trace,
     cell: String,
 ) -> ValueFlowCheckReport {
-    // --- Dynamic stride tallies per pc (shared table, per-pc split). ---
-    let mut stride = StridePredictor::new(TABLE_ENTRIES);
-    let by_pc = evaluate_predictor_by_pc(&mut stride, trace);
+    // --- Dynamic stride tallies per pc (shared table, per-pc split);
+    // also the per-kind oracle's tallies for stride claims. ---
+    let by_pc = eval_backend_by_pc(PredictorKind::Stride, trace);
 
     // --- The claims under trial. ---
     let affine: BTreeMap<u64, i64> = report.affine_claims().into_iter().collect();
@@ -397,7 +418,13 @@ pub fn value_flow_check_with(
     }
     let mut hint_contradictions = Vec::new();
     for (kind, claims) in &claims_by_kind {
-        let backend_by_pc = eval_backend_by_pc(*kind, trace);
+        let other;
+        let backend_by_pc = if *kind == PredictorKind::Stride {
+            &by_pc
+        } else {
+            other = eval_backend_by_pc(*kind, trace);
+            &other
+        };
         for &(pc, class) in claims {
             let Some(eval) = backend_by_pc.get(&pc) else {
                 continue;

@@ -1,7 +1,7 @@
 //! Integration tests for the experiment engine: determinism across
 //! worker counts, exactly-once caching across experiments, and golden
-//! comparison of fast-subset rows against the committed full-suite
-//! `results/*.txt` files.
+//! comparison against the committed `results/*.txt` files (fast-subset
+//! rows of full-suite experiments, whole reports of fast-only ones).
 
 use lvp_harness::{experiment, Engine, FAST_WORKLOADS};
 
@@ -96,6 +96,25 @@ fn fast_subset_matches_committed_results() {
         assert_eq!(
             got, want,
             "{name}: fast-subset rows diverge from {golden_path}"
+        );
+    }
+}
+
+/// Golden test: experiments that always run on the fast subset render
+/// their committed `results/<name>.txt` byte for byte, so a change that
+/// moves any of their numbers must regenerate the file (`lvp bench
+/// <name> | sed '/^\[<name>: /,$d' > results/<name>.txt`).
+#[test]
+fn fast_subset_experiments_match_committed_results_byte_for_byte() {
+    let engine = Engine::fast().with_threads(2);
+    for name in ["ablation_predictor", "ablation_hints"] {
+        let rendered = run_named(&engine, name);
+        let golden_path = format!("{}/../../results/{name}.txt", env!("CARGO_MANIFEST_DIR"));
+        let golden = std::fs::read_to_string(&golden_path)
+            .unwrap_or_else(|e| panic!("cannot read {golden_path}: {e}"));
+        assert_eq!(
+            rendered, golden,
+            "{name}: output diverges from {golden_path}; regenerate it"
         );
     }
 }

@@ -6,7 +6,7 @@
 //! etc., since these transformations tend to create multiple instances of
 //! a load that may now exclusively target memory locations with high or
 //! low value locality." This pass exists to study exactly that effect
-//! (see `lvp-bench --bin ablation_opt`):
+//! (see `lvp bench ablation_opt`):
 //!
 //! * constant folding over int and float expressions,
 //! * algebraic simplification (`x+0`, `x*1`, `x*0` when side-effect free),

@@ -33,8 +33,7 @@ impl Level1 {
 /// walking a cyclic structure, a state machine's output — that neither
 /// last-value nor stride prediction can express.
 ///
-/// Grown from the order-2 [`crate::FcmPredictor`] ablation predictor;
-/// both levels index through the shared [`crate::index`] helpers so a
+/// Both levels index through the shared [`crate::index`] helpers so a
 /// table-geometry sweep means the same thing here as in the LVPT.
 #[derive(Debug, Clone)]
 pub struct ContextBackend {
@@ -48,6 +47,10 @@ impl ContextBackend {
     /// Level-2 slots per level-1 slot: the shared value table is larger
     /// than the per-PC context table so distinct contexts rarely clash.
     const L2_FACTOR: usize = 16;
+
+    /// The [`ContextBackend::index`] of a load whose context is still
+    /// cold (never a level-2 slot).
+    pub const COLD: usize = usize::MAX;
 
     /// Creates a backend with `entries` level-1 slots (and
     /// `entries * 16` shared level-2 slots).
@@ -65,30 +68,50 @@ impl ContextBackend {
         }
     }
 
-    /// The (level-1) table index for a load at `pc`.
+    /// The level-1 (per-PC context) slot of a load at `pc`.
+    #[inline]
+    fn slot(&self, pc: u64) -> usize {
+        word_index(pc, self.l1_mask)
+    }
+
+    /// The level-2 slot the current context of `pc` selects, once the
+    /// context is warm.
+    #[inline]
+    fn value_slot(&self, pc: u64) -> Option<usize> {
+        let ctx = self.level1[self.slot(pc)].context_hash()?;
+        Some((ctx as usize) & self.l2_mask)
+    }
+
+    /// The CVU certification key for a load at `pc`: the shared level-2
+    /// slot that supplies its prediction. Level 2 is written by every
+    /// pc whose context hashes there, so only the supplying slot can
+    /// tell when a certified prediction changed. A cold context
+    /// predicts nothing and is never certified; it maps to
+    /// [`ContextBackend::COLD`].
     #[inline]
     pub fn index(&self, pc: u64) -> usize {
-        word_index(pc, self.l1_mask)
+        self.value_slot(pc).unwrap_or(Self::COLD)
     }
 
     /// The predicted value for a load at `pc`: the value that followed
     /// the current context last time, if the context is warm.
     #[inline]
     pub fn predict(&self, pc: u64) -> Option<u64> {
-        let ctx = self.level1[self.index(pc)].context_hash()?;
-        self.level2[(ctx as usize) & self.l2_mask]
+        self.level2[self.value_slot(pc)?]
     }
 
-    /// Trains with the verified value. Returns `true` when the value
-    /// this slot would predict changed (the CVU invalidation trigger).
-    pub fn train(&mut self, pc: u64, actual: u64) -> bool {
-        let i = self.index(pc);
-        let before = self.predict(pc);
-        if let Some(ctx) = self.level1[i].context_hash() {
-            self.level2[(ctx as usize) & self.l2_mask] = Some(actual);
+    /// Trains with the verified value. Returns the level-2 slot whose
+    /// value changed, if any — the [`ContextBackend::index`] of every
+    /// load whose certified prediction is now stale.
+    pub fn train(&mut self, pc: u64, actual: u64) -> Option<usize> {
+        let written = self.value_slot(pc);
+        let changed = written.filter(|&h| self.level2[h] != Some(actual));
+        if let Some(h) = written {
+            self.level2[h] = Some(actual);
         }
+        let i = self.slot(pc);
         self.level1[i].push(actual);
-        before != self.predict(pc)
+        changed
     }
 }
 
@@ -151,14 +174,45 @@ mod tests {
     #[test]
     fn train_reports_prediction_changes() {
         let mut p = ContextBackend::new(64);
-        for v in [7u64, 7, 7, 7] {
+        for v in [7u64, 7, 7] {
+            assert_eq!(p.train(PC, v), None, "cold context writes no slot");
+        }
+        assert_eq!(p.index(PC), ContextBackend::COLD);
+        p.train(PC, 7);
+        // Warm context, cold level 2: the supplying slot gains a value.
+        let slot = p.index(PC);
+        assert_ne!(slot, ContextBackend::COLD);
+        assert_eq!(p.train(PC, 7), Some(slot));
+        // Stable constant: context and level-2 value both fixed.
+        assert_eq!(p.train(PC, 7), None);
+        assert_eq!(p.index(PC), slot);
+        // A new value rewrites the supplying slot; the context moves on.
+        assert_eq!(p.train(PC, 9), Some(slot));
+        assert_ne!(p.index(PC), slot);
+    }
+
+    #[test]
+    fn another_pc_sharing_a_context_changes_the_supplying_slot() {
+        // Two pcs with the same value history share a level-2 slot, so
+        // training one changes the other's prediction. The change is
+        // reported against the shared slot — the other pc's index.
+        const OTHER: u64 = PC + 4;
+        let mut p = ContextBackend::new(64);
+        for v in [1u64, 2, 3, 4, 5] {
             p.train(PC, v);
         }
-        // Warm context, cold level 2: prediction appears on this train.
-        assert!(p.train(PC, 7));
-        // Stable constant: context and level-2 value both fixed.
-        assert!(!p.train(PC, 7));
-        // A new value rewrites the context, changing the prediction.
-        assert!(p.train(PC, 9));
+        for v in [1u64, 2, 3, 4] {
+            p.train(OTHER, v);
+        }
+        assert_eq!(p.predict(OTHER), Some(5));
+        let shared = p.index(OTHER);
+        assert_eq!(p.train(OTHER, 6), Some(shared));
+        // PC's context moved on; retrain it on the same history so it
+        // lands on the shared slot again.
+        for v in [1u64, 2, 3, 4] {
+            p.train(PC, v);
+        }
+        assert_eq!(p.index(PC), shared);
+        assert_eq!(p.predict(PC), Some(6), "OTHER's training is visible");
     }
 }

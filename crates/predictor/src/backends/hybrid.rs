@@ -54,10 +54,39 @@ impl HybridBackend {
         }
     }
 
-    /// The selector/table index for a load at `pc`.
+    /// The selector slot of a load at `pc` (the per-PC component tables
+    /// index the same way).
+    #[inline]
+    fn slot(&self, pc: u64) -> usize {
+        word_index(pc, self.mask)
+    }
+
+    /// The CVU certification key for a load at `pc`. While a per-PC
+    /// component (stride or last-value) wins the arbitration, it is the
+    /// selector slot. While the context component wins, it is that
+    /// component's shared level-2 slot ([`ContextBackend::index`]),
+    /// offset past the selector slots so the two key spaces never meet.
     #[inline]
     pub fn index(&self, pc: u64) -> usize {
-        word_index(pc, self.mask)
+        let i = self.slot(pc);
+        if self.choose(i) != CONTEXT {
+            return i;
+        }
+        match self.context.index(pc) {
+            ContextBackend::COLD => ContextBackend::COLD,
+            h => self.sel.len() + h,
+        }
+    }
+
+    /// The prediction certified under the selector-slot key: the
+    /// winner's value while a per-PC component wins, `None` while the
+    /// context component does.
+    #[inline]
+    fn slot_predict(&self, pc: u64) -> Option<u64> {
+        match self.choose(self.slot(pc)) {
+            CONTEXT => None,
+            c => self.component_predict(c, pc),
+        }
     }
 
     /// The winning component for `pc` (highest confidence, earlier
@@ -77,7 +106,7 @@ impl HybridBackend {
     /// The component confidences for `pc`, in `[stride, last-value,
     /// context]` order — diagnostic accessor for the arbitration tests.
     pub fn confidences(&self, pc: u64) -> [u8; 3] {
-        self.sel[self.index(pc)]
+        self.sel[self.slot(pc)]
     }
 
     #[inline]
@@ -92,7 +121,7 @@ impl HybridBackend {
     /// The arbitrated prediction for a load at `pc`.
     #[inline]
     pub fn predict(&self, pc: u64) -> Option<u64> {
-        self.component_predict(self.choose(self.index(pc)), pc)
+        self.component_predict(self.choose(self.slot(pc)), pc)
     }
 
     /// Seeds the arbiter from a static hint: raise the nominated
@@ -108,19 +137,20 @@ impl HybridBackend {
             PredictorKind::Context => CONTEXT,
             PredictorKind::StoreToLoad | PredictorKind::Hybrid => return,
         };
-        let idx = self.index(pc);
+        let idx = self.slot(pc);
         let boost = (confidence.min(SAT) / 3).max(1);
         self.sel[idx][component] = self.sel[idx][component].max(boost);
     }
 
     /// Trains every component with the verified value and updates the
-    /// arbitration counters. Returns `true` when the value the hybrid
-    /// would predict for this slot changed (the CVU invalidation
-    /// trigger — a component retraining *or* an arbitration flip both
-    /// count, since either changes the certified value).
-    pub fn train(&mut self, pc: u64, actual: u64) -> bool {
-        let idx = self.index(pc);
-        let before = self.predict(pc);
+    /// arbitration counters. Returns the CVU keys ([`HybridBackend::index`])
+    /// whose certified prediction changed: the selector slot when its
+    /// per-PC prediction changed (a component retraining *or* an
+    /// arbitration flip), and the context component's level-2 slot when
+    /// its value changed.
+    pub fn train(&mut self, pc: u64, actual: u64) -> [Option<usize>; 2] {
+        let idx = self.slot(pc);
+        let before = self.slot_predict(pc);
         for i in 0..3 {
             let was_right = self.component_predict(i, pc) == Some(actual);
             let conf = &mut self.sel[idx][i];
@@ -132,8 +162,8 @@ impl HybridBackend {
         }
         self.stride.train(pc, actual);
         self.last_value.update(pc, actual);
-        self.context.train(pc, actual);
-        before != self.predict(pc)
+        let shared = self.context.train(pc, actual).map(|h| self.sel.len() + h);
+        [(before != self.slot_predict(pc)).then_some(idx), shared]
     }
 }
 
@@ -233,7 +263,7 @@ mod tests {
         let mut reported = 0;
         for v in (1..20u64).map(|i| 7 + 8 * i) {
             let before = p.predict(PC);
-            let changed = p.train(PC, v);
+            let changed = p.train(PC, v)[0].is_some();
             assert_eq!(changed, before != p.predict(PC));
             reported += changed as u32;
         }

@@ -19,8 +19,7 @@ struct Entry {
 /// observed delta only replaces the confirmed stride after it has been
 /// seen twice in a row. One wild value (a pointer re-seated, a loop
 /// restarting) therefore never destroys a learned stride — the classic
-/// two-delta filter of stride prediction literature, and the difference
-/// from the simpler ablation-only [`crate::StridePredictor`].
+/// two-delta filter of stride prediction literature.
 ///
 /// A constant load is the `stride == 0` special case, so this backend
 /// subsumes last-value prediction on stable values (and the CVU can

@@ -23,9 +23,7 @@
 //!   confidence-arbitrated hybrid, all behind enum dispatch in the
 //!   unit's hot path;
 //! * [`LocalityMeter`] — the Figures 1 and 2 measurement: value locality
-//!   at history depths 1 and 16, overall and by value class;
-//! * [`ValuePredictor`], [`StridePredictor`] — the lightweight
-//!   trace-replay predictors used by the ablation benches.
+//!   at history depths 1 and 16, overall and by value class.
 //!
 //! # Examples
 //!
@@ -46,7 +44,6 @@ mod analysis;
 mod backends;
 pub mod characterize;
 mod config;
-mod context;
 mod cvu;
 mod hints;
 mod index;
@@ -55,21 +52,15 @@ mod locality;
 mod lvpt;
 mod predictor;
 pub mod presets;
-mod stride;
 mod unit;
 
 pub use analysis::{LoadProfiler, StaticLoadStats};
 pub use backends::{ContextBackend, HybridBackend, StoreToLoadBackend, TwoDeltaStrideBackend};
 pub use config::{CvuConfig, LctConfig, LvpConfig, LvpConfigBuilder, LvptConfig};
-pub use context::{BhrIndexedPredictor, FcmPredictor};
 pub use cvu::{Cvu, CvuVictim};
 pub use hints::{HintError, HintTable, StaticHint, HINT_MAGIC, HINT_VERSION, MAX_CONFIDENCE};
 pub use lct::{Lct, LoadClass};
 pub use locality::{AddressRanges, LocalityMeter, ValueClass};
 pub use lvpt::Lvpt;
 pub use predictor::{Backend, PredictorKind, UnknownPredictorKind};
-pub use stride::{
-    evaluate_predictor, evaluate_predictor_by_pc, LastValuePredictor, PredEval, StridePredictor,
-    ValuePredictor,
-};
 pub use unit::{ConstantMispredict, CvuEventLog, CvuInvalidation, LvpStats, LvpUnit};

@@ -14,9 +14,9 @@
 //! 2. [`Backend::would_predict_correctly`] — would the issued
 //!    prediction have verified against the actual value? This is the
 //!    ground truth the LCT trains on.
-//! 3. [`Backend::train`] — learn the verified value; report whether
-//!    the slot's prediction *changed*, because any CVU entry certifying
-//!    the old value is then stale.
+//! 3. [`Backend::train`] — learn the verified value; report the slots
+//!    whose prediction *changed*, because any CVU entry certifying the
+//!    old value is then stale.
 //! 4. [`Backend::on_store`] — observe a store (address, width, value);
 //!    report a slot whose prediction changed, if any.
 
@@ -152,8 +152,11 @@ impl Backend {
     }
 
     /// The table index a load at `(pc, addr)` uses — the slot half of
-    /// the CVU's `(slot, address)` certification key. PC-keyed for
-    /// every backend except store-to-load, which is address-keyed.
+    /// the CVU's `(slot, address)` certification key: the slot that
+    /// supplies the prediction. PC-keyed for last-value and stride,
+    /// address-keyed for store-to-load, and keyed by the shared
+    /// level-2 slot for context (and for the hybrid while its context
+    /// component wins), because other pcs write that slot too.
     #[inline]
     pub fn index(&self, pc: u64, addr: u64) -> usize {
         match self {
@@ -192,18 +195,20 @@ impl Backend {
     }
 
     /// Trains the backend with the verified value of a load. Returns
-    /// `true` when the value this load's slot would predict changed —
-    /// the caller must then invalidate CVU entries certifying the slot.
+    /// the slots ([`Backend::index`] keys) whose prediction changed —
+    /// the caller must invalidate CVU entries certifying them. That is
+    /// at most the load's own slot plus, for the hybrid, the context
+    /// component's shared level-2 slot.
     #[inline]
-    pub fn train(&mut self, pc: u64, addr: u64, value: u64) -> bool {
+    pub fn train(&mut self, pc: u64, addr: u64, value: u64) -> [Option<usize>; 2] {
         match self {
-            Backend::LastValue(b) => b.update(pc, value),
-            Backend::Stride(b) => b.train(pc, value),
-            Backend::Context(b) => b.train(pc, value),
+            Backend::LastValue(b) => [b.update(pc, value).then(|| b.index(pc)), None],
+            Backend::Stride(b) => [b.train(pc, value).then(|| b.index(pc)), None],
+            Backend::Context(b) => [b.train(pc, value), None],
             // Loads do not train the store-to-load table.
             Backend::StoreToLoad(_) => {
                 let _ = addr;
-                false
+                [None, None]
             }
             Backend::Hybrid(b) => b.train(pc, value),
         }
@@ -272,7 +277,7 @@ mod tests {
                 b.would_predict_correctly(pc, 0x8000, *v),
                 t.would_predict_correctly(pc, *v)
             );
-            assert_eq!(b.train(pc, 0x8000, *v), t.update(pc, *v));
+            assert_eq!(b.train(pc, 0x8000, *v)[0].is_some(), t.update(pc, *v));
         }
     }
 
@@ -286,8 +291,9 @@ mod tests {
         assert!(!b.would_predict_correctly(0x1000, 0x8000, 42));
         assert_eq!(b.on_store(0x8000, 8, 42), Some(b.index(0, 0x8000)));
         assert!(b.would_predict_correctly(0x1000, 0x8000, 42));
-        assert!(
-            !b.train(0x1000, 0x8000, 42),
+        assert_eq!(
+            b.train(0x1000, 0x8000, 42),
+            [None, None],
             "loads never retrain the s2l table"
         );
         // A different pc loading the same address still hits.

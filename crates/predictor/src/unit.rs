@@ -363,17 +363,16 @@ impl LvpUnit {
         };
 
         // Train: the LCT learns from this verification; the backend
-        // records the actual value. If the backend's prediction for this
-        // slot was displaced, any CVU entries certifying the slot are
-        // stale. A hinted pc's first-ever (necessarily cold) incorrect
+        // records the actual value. Any CVU entries certifying a slot
+        // whose prediction this displaced are stale. A hinted pc's first-ever (necessarily cold) incorrect
         // verification is neutral, so the static seed survives to its
         // first real chance.
         let first_hinted = !self.pending_hints.is_empty() && self.pending_hints.remove(&pc);
         if would_be_correct || !first_hinted {
             self.lct.update(pc, would_be_correct);
         }
-        if self.backend.train(pc, addr, value) {
-            self.cvu.invalidate_index(idx);
+        for slot in self.backend.train(pc, addr, value).into_iter().flatten() {
+            self.cvu.invalidate_index(slot);
         }
         outcome
     }
@@ -494,6 +493,67 @@ mod tests {
         assert_eq!(u.on_load(PC, ADDR, 8, 7), PredOutcome::Correct);
         // Certification re-established.
         assert_eq!(u.on_load(PC, ADDR, 8, 7), PredOutcome::Constant);
+    }
+
+    #[test]
+    fn shared_context_write_revokes_certification() {
+        // Two pcs with the same value history share the context
+        // backend's level-2 slot. Once `p` is certified constant, `q`
+        // rewriting that slot changes `p`'s prediction, so the CVU must
+        // drop the certification rather than vouch for the new value.
+        let (p, q) = (PC, PC + 4);
+        let mut u = LvpUnit::new(
+            presets::simple()
+                .builder()
+                .kind(crate::PredictorKind::Context)
+                .build(),
+        );
+        for _ in 0..16 {
+            u.on_load(p, ADDR, 8, 7);
+        }
+        assert_eq!(u.on_load(p, ADDR, 8, 7), PredOutcome::Constant);
+        for _ in 0..4 {
+            u.on_load(q, ADDR + 8, 8, 7);
+        }
+        u.on_load(q, ADDR + 16, 8, 9);
+        assert_eq!(u.backend().predict(p, ADDR), Some(9));
+        assert_eq!(u.on_load(p, ADDR, 8, 7), PredOutcome::Incorrect);
+    }
+
+    #[test]
+    fn constant_outcomes_always_match_the_prediction() {
+        // A coherent random stream over a few pcs, addresses and values
+        // (so contexts and table slots collide often): whatever the
+        // backend, a CVU-verified load must carry exactly the value the
+        // backend predicted for it.
+        for kind in crate::PredictorKind::ALL {
+            let mut rng = lvp_trace::rng::Lcg::new(0x5eed ^ kind as u64);
+            let mut u = LvpUnit::new(
+                presets::simple()
+                    .builder()
+                    .kind(kind)
+                    .lvpt_entries(16)
+                    .build(),
+            );
+            let mut memory = [0u64; 8];
+            let mut constants = 0;
+            for _ in 0..20_000 {
+                let slot = rng.below(8) as usize;
+                let addr = ADDR + 8 * slot as u64;
+                if rng.chance(1, 16) {
+                    memory[slot] = rng.below(3);
+                    u.on_store(addr, 8, memory[slot]);
+                    continue;
+                }
+                let pc = PC + 4 * rng.below(6);
+                let predicted = u.backend().predict(pc, addr);
+                if u.on_load(pc, addr, 8, memory[slot]) == PredOutcome::Constant {
+                    assert_eq!(predicted, Some(memory[slot]), "{kind} pc {pc:#x}");
+                    constants += 1;
+                }
+            }
+            assert!(constants > 0, "{kind}: stream never certified a constant");
+        }
     }
 
     #[test]
