@@ -336,10 +336,9 @@ fn bench_unit_dispatch(cfg: &PerfConfig, kind: PredictorKind) -> Vec<u64> {
     })
 }
 
-fn bench_sim_620(cfg: &PerfConfig, n: usize) -> Vec<u64> {
+fn bench_sim_620(cfg: &PerfConfig, n: usize, config: Ppc620Config) -> Vec<u64> {
     let trace = canned_trace(0x620, n);
     let outcomes = LvpUnit::new(presets::simple()).run_trace(trace.entries());
-    let config = Ppc620Config::base();
     sample(cfg, || simulate_620(&trace, Some(&outcomes), &config))
 }
 
@@ -506,13 +505,19 @@ pub fn benches() -> &'static [BenchDef] {
             name: "sim_620_256k",
             fast: true,
             what: "simulate_620 (base config) over 256K annotated entries",
-            run: |cfg| bench_sim_620(cfg, 262_144),
+            run: |cfg| bench_sim_620(cfg, 262_144, Ppc620Config::base()),
+        },
+        BenchDef {
+            name: "sim_620plus_256k",
+            fast: true,
+            what: "simulate_620 (620+ config: 32-entry window) over 256K annotated entries",
+            run: |cfg| bench_sim_620(cfg, 262_144, Ppc620Config::plus()),
         },
         BenchDef {
             name: "sim_620_1m",
             fast: false,
             what: "simulate_620 (base config) over 1M annotated entries",
-            run: |cfg| bench_sim_620(cfg, 1_000_000),
+            run: |cfg| bench_sim_620(cfg, 1_000_000, Ppc620Config::base()),
         },
         BenchDef {
             name: "sim_21164_256k",

@@ -107,6 +107,7 @@ pub fn simulate_21164(
     let mut fdiv_busy: u64 = 0;
     // Latest finish, for the drain at the end.
     let mut last_finish: u64 = 0;
+    let mut last_issue: u64 = 0;
 
     let mut load_index = 0usize;
 
@@ -151,7 +152,9 @@ pub fn simulate_21164(
             earliest = t + 1;
         }
 
-        // Execute.
+        // Execute, in trace order: issue cycles never go backwards.
+        debug_assert!(t >= last_issue, "out-of-order issue on an in-order core");
+        last_issue = t;
         result.instructions += 1;
         let mut finish = t + config.latency.result_latency(e.kind);
         match e.kind {
@@ -254,6 +257,9 @@ pub fn simulate_21164(
 
     result.cycles = last_finish.max(t) + 1;
     result.l2_accesses = mem.l2_accesses();
+    // Issue is in trace order, one group per cycle of at most `width`.
+    debug_assert_eq!(result.instructions, trace.len() as u64);
+    debug_assert!(result.cycles * config.width as u64 >= result.instructions);
     result
 }
 

@@ -2,7 +2,6 @@
 //! regenerate the paper's Figures 6–9 and Table 6.
 
 use lvp_trace::OpKind;
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// Histogram of load verification latencies (cycles from dispatch to
@@ -58,34 +57,33 @@ impl VerifyLatencyHistogram {
 /// true dependencies to resolve.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct OperandWaitStats {
-    waits: BTreeMap<OpKind, (u64, u64)>, // kind -> (total wait cycles, count)
+    /// `(total wait cycles, count)` per kind, indexed in [`OpKind::ALL`]
+    /// order.
+    waits: [(u64, u64); OpKind::ALL.len()],
 }
 
 impl OperandWaitStats {
     /// Records that an instruction of `kind` waited `cycles` for its
     /// operands.
+    #[inline]
     pub fn record(&mut self, kind: OpKind, cycles: u64) {
-        let e = self.waits.entry(kind).or_insert((0, 0));
+        let e = &mut self.waits[kind as usize];
         e.0 += cycles;
         e.1 += 1;
     }
 
     /// Average wait of one kind, in cycles.
     pub fn average(&self, kind: OpKind) -> f64 {
-        match self.waits.get(&kind) {
-            Some(&(total, count)) if count > 0 => total as f64 / count as f64,
-            _ => 0.0,
-        }
+        self.average_of(&[kind])
     }
 
     /// Average over a group of kinds (e.g. the 620's two SCFX units).
     pub fn average_of(&self, kinds: &[OpKind]) -> f64 {
         let (mut total, mut count) = (0u64, 0u64);
-        for k in kinds {
-            if let Some(&(t, c)) = self.waits.get(k) {
-                total += t;
-                count += c;
-            }
+        for &k in kinds {
+            let (t, c) = self.waits[k as usize];
+            total += t;
+            count += c;
         }
         if count == 0 {
             0.0
@@ -96,10 +94,9 @@ impl OperandWaitStats {
 
     /// Merges another accounting into this one.
     pub fn merge(&mut self, other: &OperandWaitStats) {
-        for (k, &(t, c)) in &other.waits {
-            let e = self.waits.entry(*k).or_insert((0, 0));
-            e.0 += t;
-            e.1 += c;
+        for (a, b) in self.waits.iter_mut().zip(other.waits) {
+            a.0 += b.0;
+            a.1 += b.1;
         }
     }
 }
@@ -225,6 +222,33 @@ mod tests {
         assert!((w.average(OpKind::Load) - 5.0).abs() < 1e-12);
         assert!((w.average_of(&[OpKind::Load, OpKind::FpSimple]) - 20.0 / 3.0).abs() < 1e-12);
         assert_eq!(w.average(OpKind::IntComplex), 0.0);
+    }
+
+    #[test]
+    fn operand_wait_slots_follow_opkind_order() {
+        for (i, &k) in OpKind::ALL.iter().enumerate() {
+            assert_eq!(k as usize, i, "{k:?}");
+        }
+    }
+
+    #[test]
+    fn operand_wait_merge_matches_recording_everything_once() {
+        let mut a = OperandWaitStats::default();
+        let mut b = OperandWaitStats::default();
+        let mut all = OperandWaitStats::default();
+        for (i, &k) in OpKind::ALL.iter().enumerate() {
+            a.record(k, i as u64);
+            all.record(k, i as u64);
+            if i % 2 == 0 {
+                b.record(k, 3);
+                all.record(k, 3);
+            }
+        }
+        assert_ne!(a, all);
+        a.merge(&b);
+        assert_eq!(a, all);
+        assert!((a.average(OpKind::FpSimple) - 2.5).abs() < 1e-12);
+        assert_eq!(a.average(OpKind::Store), 5.0);
     }
 
     #[test]
