@@ -1646,7 +1646,8 @@ pub fn usage() -> &'static str {
      \x20                               (--seed N --scale bench|tiny --out FILE\n\
      \x20                                --verify --list; own flag set)\n\
      \x20 perf     [--list]             in-tree microbenchmarks; --check gates\n\
-     \x20                               against results/perf_baseline.json\n\n\
+     \x20                               against results/perf_baseline.json\n\
+     \x20 help                          this text (also `lvp <command> --help`)\n\n\
      options: --profile toc|gp  --config simple|constant|limit|perfect\n\
      \x20        --predictor last-value|stride|context|store-to-load|hybrid\n\
      \x20        (backend for annotate/simulate/locality/check/bench)\n\
@@ -1679,6 +1680,9 @@ pub fn dispatch(args: &[String]) -> Result<String, CliError> {
         return Err(CliError::new(usage()));
     };
     let rest = &args[1..];
+    if rest.iter().any(|a| a == "--help" || a == "-h") {
+        return Ok(if cmd == "synth" { SYNTH_USAGE } else { usage() }.to_string());
+    }
     // `synth` owns its flag set (`--profile` means a synth profile
     // there, not toc|gp), so it routes before the shared option parser.
     if cmd == "synth" {
@@ -1721,7 +1725,13 @@ pub fn dispatch(args: &[String]) -> Result<String, CliError> {
         }
         "bench" => cmd_bench(&positional, &opts),
         "characterize" => cmd_characterize(&positional, &opts),
-        "perf" => cmd_perf(&opts),
+        "perf" => match positional.first() {
+            Some(name) => Err(CliError::new(format!(
+                "`perf` takes no positional arguments (got `{name}`); \
+                 select benches with `--bench {name}`"
+            ))),
+            None => cmd_perf(&opts),
+        },
         "help" | "--help" | "-h" => Ok(usage().to_string()),
         other => Err(CliError::new(format!(
             "unknown command `{other}`\n\n{}",
@@ -2343,6 +2353,32 @@ mod tests {
         assert_eq!(e.exit_code(), 2);
         assert!(!e.to_stdout());
         assert!(e.to_string().contains("nonesuch"));
+    }
+
+    #[test]
+    fn perf_rejects_positional_bench_names_with_exit_2() {
+        let e = dispatch(&args(&["perf", "trace_codec_256k"])).unwrap_err();
+        assert_eq!(e.exit_code(), 2);
+        assert!(!e.to_stdout());
+        let msg = e.to_string();
+        assert!(msg.contains("--bench trace_codec_256k"), "{msg}");
+    }
+
+    #[test]
+    fn help_flag_prints_usage_after_any_command() {
+        for cmd in ["run", "check", "bench", "perf", "trace", "simulate"] {
+            for flag in ["--help", "-h"] {
+                let out = dispatch(&args(&[cmd, flag])).unwrap();
+                assert!(
+                    out.starts_with("usage: lvp <command>"),
+                    "{cmd} {flag}: {out}"
+                );
+            }
+        }
+        let out = dispatch(&args(&["perf", "--bench", "nonesuch", "--help"])).unwrap();
+        assert!(out.contains("--bench NAME"), "{out}");
+        let out = dispatch(&args(&["synth", "--help"])).unwrap();
+        assert!(out.starts_with("usage: lvp synth"), "{out}");
     }
 
     /// One fast bench, pinned to a single iteration for test speed.

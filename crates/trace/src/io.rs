@@ -175,9 +175,15 @@ pub(crate) fn encoded_len(e: &TraceEntry) -> u64 {
     MIN_ENTRY_BYTES + if e.mem.is_some() { 17 } else { 0 } + if e.branch.is_some() { 8 } else { 0 }
 }
 
-/// Appends one encoded record to `out`.
-pub(crate) fn encode_entry(out: &mut Vec<u8>, e: &TraceEntry) {
-    out.extend_from_slice(&e.pc.to_le_bytes());
+/// Encodes one record into the front of `rec` and returns its length
+/// ([`encoded_len`]); bytes of `rec` past that length are left as they
+/// were.
+///
+/// The fixed-size window lets the compiler drop every bounds check, so
+/// a record costs a handful of stores rather than one `Vec` push per
+/// field.
+#[inline]
+fn encode_record(rec: &mut [u8; MAX_ENTRY_BYTES as usize], e: &TraceEntry) -> usize {
     let mut flags = 0u8;
     if e.dst.is_some() {
         flags |= 1;
@@ -200,22 +206,127 @@ pub(crate) fn encode_entry(out: &mut Vec<u8>, e: &TraceEntry) {
     if e.branch.is_some_and(|b| b.taken) {
         flags |= 64;
     }
-    out.push(kind_to_u8(e.kind));
-    out.push(flags);
-    out.push(e.dst.map_or(0, reg_to_u8));
-    out.push(e.srcs[0].map_or(0, reg_to_u8));
-    out.push(e.srcs[1].map_or(0, reg_to_u8));
+    rec[0..8].copy_from_slice(&e.pc.to_le_bytes());
+    rec[8] = kind_to_u8(e.kind);
+    rec[9] = flags;
+    rec[10] = e.dst.map_or(0, reg_to_u8);
+    rec[11] = e.srcs[0].map_or(0, reg_to_u8);
+    rec[12] = e.srcs[1].map_or(0, reg_to_u8);
+    let mut len = MIN_ENTRY_BYTES as usize;
     if let Some(m) = e.mem {
-        out.extend_from_slice(&m.addr.to_le_bytes());
-        out.push(m.width);
-        out.extend_from_slice(&m.value.to_le_bytes());
+        rec[len..len + 8].copy_from_slice(&m.addr.to_le_bytes());
+        rec[len + 8] = m.width;
+        rec[len + 9..len + 17].copy_from_slice(&m.value.to_le_bytes());
+        len += 17;
     }
     if let Some(b) = e.branch {
-        out.extend_from_slice(&b.target.to_le_bytes());
+        rec[len..len + 8].copy_from_slice(&b.target.to_le_bytes());
+        len += 8;
     }
+    len
 }
 
-/// Decodes one record from `reader`; end-of-stream mid-record is
+/// Appends one encoded record to `out`: the record is built in a fixed
+/// stack buffer and appended with a single `extend_from_slice`.
+pub(crate) fn encode_entry(out: &mut Vec<u8>, e: &TraceEntry) {
+    let mut rec = [0u8; MAX_ENTRY_BYTES as usize];
+    let len = encode_record(&mut rec, e);
+    out.extend_from_slice(&rec[..len]);
+}
+
+/// Encodes `entries` back to back into `buf`, which must hold
+/// `entries.len() * MAX_ENTRY_BYTES` bytes, and returns the encoded
+/// length. Each record is written in place through a full-size window,
+/// so no byte is copied twice; the window's tail past a record is
+/// overwritten by the next one, and `buf[..len]` is exactly the records.
+fn encode_block(buf: &mut [u8], entries: &[TraceEntry]) -> usize {
+    const MAX: usize = MAX_ENTRY_BYTES as usize;
+    let mut len = 0;
+    for e in entries {
+        let rec: &mut [u8; MAX] = (&mut buf[len..len + MAX])
+            .try_into()
+            .expect("window is MAX_ENTRY_BYTES long");
+        len += encode_record(rec, e);
+    }
+    len
+}
+
+/// Little-endian `u64` at `bytes[at..at + 8]`; callers check the length.
+#[inline]
+fn le_u64(bytes: &[u8], at: usize) -> u64 {
+    let mut word = [0u8; 8];
+    word.copy_from_slice(&bytes[at..at + 8]);
+    u64::from_le_bytes(word)
+}
+
+/// Decodes one v2 record from the front of `bytes` (the unread tail of a
+/// checksum-verified block) and returns it with its encoded length.
+///
+/// Errors surface in stream order, exactly as a field-by-field read
+/// would meet them: an invalid op kind, then an invalid memory width
+/// (checked before the value that follows it), and otherwise a record
+/// that needs more bytes than the block has left, which is
+/// `Corrupt("record overruns block")` — the block passed its CRC, so a
+/// short record is structural corruption, not truncation.
+pub(crate) fn decode_record(bytes: &[u8]) -> Result<(TraceEntry, usize), TraceIoError> {
+    const OVERRUN: TraceIoError = TraceIoError::Corrupt("record overruns block");
+    let head = MIN_ENTRY_BYTES as usize;
+    if bytes.len() < head {
+        return Err(OVERRUN);
+    }
+    let kind = kind_from_u8(bytes[8]).ok_or(TraceIoError::Corrupt("op kind"))?;
+    let flags = bytes[9];
+    let mut len = head;
+    let mem = if flags & 8 != 0 {
+        if bytes.len() < len + 9 {
+            return Err(OVERRUN);
+        }
+        let width = bytes[len + 8];
+        if !matches!(width, 1 | 2 | 4 | 8) {
+            return Err(TraceIoError::Corrupt("mem width"));
+        }
+        if bytes.len() < len + 17 {
+            return Err(OVERRUN);
+        }
+        let mem = MemAccess {
+            addr: le_u64(bytes, len),
+            width,
+            value: le_u64(bytes, len + 9),
+            fp: flags & 32 != 0,
+        };
+        len += 17;
+        Some(mem)
+    } else {
+        None
+    };
+    let branch = if flags & 16 != 0 {
+        if bytes.len() < len + 8 {
+            return Err(OVERRUN);
+        }
+        let branch = BranchEvent {
+            taken: flags & 64 != 0,
+            target: le_u64(bytes, len),
+        };
+        len += 8;
+        Some(branch)
+    } else {
+        None
+    };
+    let entry = TraceEntry {
+        pc: le_u64(bytes, 0),
+        kind,
+        dst: (flags & 1 != 0).then(|| reg_from_u8(bytes[10])),
+        srcs: [
+            (flags & 2 != 0).then(|| reg_from_u8(bytes[11])),
+            (flags & 4 != 0).then(|| reg_from_u8(bytes[12])),
+        ],
+        mem,
+        branch,
+    };
+    Ok((entry, len))
+}
+
+/// Decodes one v1 record from `reader`; end-of-stream mid-record is
 /// reported as `Truncated("record")`.
 pub(crate) fn decode_entry<R: Read>(reader: &mut R) -> Result<TraceEntry, TraceIoError> {
     let mut u64buf = [0u8; 8];
@@ -292,16 +403,16 @@ pub fn write_trace<W: Write>(mut writer: W, trace: &Trace) -> Result<(), TraceIo
     writer.write_all(&(entries.len() as u64).to_le_bytes())?;
     writer.write_all(&payload_len.to_le_bytes())?;
 
-    let mut buf = Vec::with_capacity(BLOCK_ENTRIES * MAX_ENTRY_BYTES as usize);
+    let mut buf = vec![0u8; entries.len().min(BLOCK_ENTRIES) * MAX_ENTRY_BYTES as usize];
     for chunk in entries.chunks(BLOCK_ENTRIES) {
-        buf.clear();
-        for e in chunk {
-            encode_entry(&mut buf, e);
-        }
-        writer.write_all(&(chunk.len() as u32).to_le_bytes())?;
-        writer.write_all(&(buf.len() as u32).to_le_bytes())?;
-        writer.write_all(&crc32(&buf).to_le_bytes())?;
-        writer.write_all(&buf)?;
+        let len = encode_block(&mut buf, chunk);
+        let block = &buf[..len];
+        let mut hdr = [0u8; BLOCK_HEADER_BYTES as usize];
+        hdr[0..4].copy_from_slice(&(chunk.len() as u32).to_le_bytes());
+        hdr[4..8].copy_from_slice(&(block.len() as u32).to_le_bytes());
+        hdr[8..12].copy_from_slice(&crc32(block).to_le_bytes());
+        writer.write_all(&hdr)?;
+        writer.write_all(block)?;
     }
     Ok(())
 }
@@ -476,6 +587,43 @@ mod tests {
         buf[24] = 200;
         let err = read_trace(buf.as_slice()).unwrap_err();
         assert!(matches!(err, TraceIoError::Corrupt("op kind")));
+    }
+
+    #[test]
+    fn decode_record_matches_encoder_and_reports_errors_in_stream_order() {
+        for e in sample_trace().iter() {
+            let mut rec = Vec::new();
+            encode_entry(&mut rec, e);
+            assert_eq!(rec.len() as u64, encoded_len(e));
+            assert_eq!(decode_record(&rec).unwrap(), (*e, rec.len()));
+            // Every strict prefix overruns the block.
+            for cut in 0..rec.len() {
+                assert!(
+                    matches!(
+                        decode_record(&rec[..cut]),
+                        Err(TraceIoError::Corrupt("record overruns block"))
+                    ),
+                    "{e:?} cut at {cut}"
+                );
+            }
+        }
+        let load = sample_trace().entries()[1];
+        let mut rec = Vec::new();
+        encode_entry(&mut rec, &load);
+        // A bad kind wins over a bad width; a bad width wins over the
+        // missing value bytes after it.
+        let mut bad = rec.clone();
+        bad[8] = 200;
+        bad[21] = 3;
+        assert!(matches!(
+            decode_record(&bad[..22]),
+            Err(TraceIoError::Corrupt("op kind"))
+        ));
+        bad[8] = rec[8];
+        assert!(matches!(
+            decode_record(&bad[..22]),
+            Err(TraceIoError::Corrupt("mem width"))
+        ));
     }
 
     #[test]

