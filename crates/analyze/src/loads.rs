@@ -246,7 +246,7 @@ impl LctComparison {
     pub fn build(static_loads: &[StaticLoad], lct: &Lct, trace: &Trace) -> LctComparison {
         let mut dyn_counts: BTreeMap<u64, u64> = BTreeMap::new();
         for e in trace.iter().filter(|e| e.is_load()) {
-            *dyn_counts.entry(e.pc).or_insert(0) += 1;
+            *dyn_counts.entry(e.pc()).or_insert(0) += 1;
         }
 
         let classes = [

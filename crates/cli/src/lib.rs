@@ -1089,7 +1089,7 @@ pub fn cmd_trace_verify(file: &str) -> Result<String, CliError> {
     let mut loads = 0u64;
     for entry in reader.by_ref() {
         let e = entry.map_err(|e| CliError::new(format!("{file}: {e}")))?;
-        if e.mem.is_some() && e.dst.is_some() {
+        if e.mem().is_some() && e.dst().is_some() {
             loads += 1;
         }
     }
@@ -1670,6 +1670,17 @@ pub fn usage() -> &'static str {
      (report on stdout), 2 analysis error (message on stderr).\n"
 }
 
+/// Rejects positional arguments a command does not take, naming the
+/// first one.
+fn no_extra(cmd: &str, extra: &[String]) -> Result<(), CliError> {
+    match extra.first() {
+        Some(arg) => Err(CliError::new(format!(
+            "`{cmd}` got an unexpected extra argument `{arg}`"
+        ))),
+        None => Ok(()),
+    }
+}
+
 /// Dispatches a full argument vector (excluding `argv[0]`).
 ///
 /// # Errors
@@ -1690,12 +1701,14 @@ pub fn dispatch(args: &[String]) -> Result<String, CliError> {
     }
     let (opts, positional) = parse_options(rest)?;
     let target = || -> Result<&String, CliError> {
-        positional
+        let program = positional
             .first()
-            .ok_or_else(|| CliError::new(format!("`{cmd}` requires a program argument")))
+            .ok_or_else(|| CliError::new(format!("`{cmd}` requires a program argument")))?;
+        no_extra(cmd, &positional[1..])?;
+        Ok(program)
     };
     match cmd.as_str() {
-        "suite" => Ok(cmd_suite()),
+        "suite" => no_extra(cmd, &positional).map(|()| cmd_suite()),
         "run" => cmd_run(target()?, &opts),
         "asm" => cmd_asm(target()?, &opts),
         "locality" => cmd_locality(target()?, &opts),
@@ -1707,6 +1720,7 @@ pub fn dispatch(args: &[String]) -> Result<String, CliError> {
                 let file = positional.get(1).ok_or_else(|| {
                     CliError::new(format!("`trace {sub}` requires a file argument"))
                 })?;
+                no_extra(&format!("trace {sub}"), &positional[2..])?;
                 match sub {
                     "pack" => cmd_trace_pack(file, &opts),
                     "unpack" => cmd_trace_unpack(file),
@@ -1718,6 +1732,7 @@ pub fn dispatch(args: &[String]) -> Result<String, CliError> {
         },
         "check" => {
             if opts.all {
+                no_extra("check --all", &positional)?;
                 cmd_check_all(&opts)
             } else {
                 cmd_check(target()?, &opts)
@@ -2362,6 +2377,36 @@ mod tests {
         assert!(!e.to_stdout());
         let msg = e.to_string();
         assert!(msg.contains("--bench trace_codec_256k"), "{msg}");
+    }
+
+    #[test]
+    fn extra_positional_arguments_are_exit_2_naming_the_first() {
+        let cases: [&[&str]; 14] = [
+            &["run", "quick", "extra-arg"],
+            &["asm", "a.s", "extra-arg"],
+            &["locality", "quick", "extra-arg"],
+            &["annotate", "quick", "extra-arg", "more"],
+            &["profile", "quick", "extra-arg"],
+            &["simulate", "quick", "extra-arg"],
+            &["trace", "quick", "extra-arg"],
+            &["check", "quick", "extra-arg"],
+            &["trace", "pack", "in.s", "extra-arg"],
+            &["trace", "unpack", "in.lvpt", "extra-arg"],
+            &["trace", "verify", "in.lvpt", "extra-arg"],
+            &["trace", "info", "in.lvpt", "extra-arg"],
+            &["check", "--all", "--fast", "extra-arg"],
+            &["suite", "extra-arg"],
+        ];
+        for case in cases {
+            let e = dispatch(&args(case)).unwrap_err();
+            assert_eq!(e.exit_code(), 2, "{case:?}");
+            assert!(!e.to_stdout(), "{case:?}");
+            let msg = e.to_string();
+            assert!(
+                msg.contains("unexpected extra argument `extra-arg`"),
+                "{case:?}: {msg}"
+            );
+        }
     }
 
     #[test]

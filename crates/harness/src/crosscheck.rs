@@ -150,19 +150,19 @@ pub fn cross_check(
     let mut first_value: BTreeMap<u64, u64> = BTreeMap::new();
     let mut dynamic_loads = 0u64;
     for entry in trace.iter() {
-        let Some(mem) = entry.mem else { continue };
+        let Some(mem) = entry.mem() else { continue };
         if entry.is_load() {
-            let Some(&(addr, _)) = by_pc.get(&entry.pc) else {
+            let Some(&(addr, _)) = by_pc.get(&entry.pc()) else {
                 continue;
             };
             dynamic_loads += 1;
-            match first_value.get(&entry.pc) {
+            match first_value.get(&entry.pc()) {
                 None => {
-                    first_value.insert(entry.pc, mem.value);
+                    first_value.insert(entry.pc(), mem.value);
                 }
                 Some(&v) if v != mem.value => {
                     violations.push(CrossCheckViolation {
-                        load_pc: entry.pc,
+                        load_pc: entry.pc(),
                         kind: ViolationKind::ValueChanged,
                         addr,
                         region: regions.classify(addr),
@@ -180,7 +180,7 @@ pub fn cross_check(
                         kind: ViolationKind::StoreOverlap,
                         addr,
                         region: regions.classify(addr),
-                        store_pc: Some(entry.pc),
+                        store_pc: Some(entry.pc()),
                         detail: format!(
                             "store of {} byte(s) at {:#x} hits the slot",
                             mem.width, mem.addr

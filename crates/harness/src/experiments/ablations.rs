@@ -574,8 +574,8 @@ pub(super) fn ablation_predictor(engine: &Engine) -> Result<Report, HarnessError
             let mut li = 0usize;
             let mut loads_here = 0u64;
             for e in run.trace.iter() {
-                if e.kind == OpKind::Load {
-                    if affine.contains(&e.pc) {
+                if e.kind() == OpKind::Load {
+                    if affine.contains(&e.pc()) {
                         loads_here += 1;
                         if ann.outcomes[li].usable() {
                             correct[si] += 1;

@@ -229,14 +229,12 @@ fn canned_trace(seed: u64, n: usize) -> Trace {
         let dst = (10 + (r >> 8) % 8) as u8;
         let src = (10 + (r >> 16) % 8) as u8;
         let e = match r % 100 {
-            0..=39 => TraceEntry {
+            0..=39 => TraceEntry::op(
                 pc,
-                kind: OpKind::IntSimple,
-                dst: Some(RegRef::int(dst)),
-                srcs: [Some(RegRef::int(src)), None],
-                mem: None,
-                branch: None,
-            },
+                OpKind::IntSimple,
+                Some(RegRef::int(dst)),
+                [Some(RegRef::int(src)), None],
+            ),
             40..=64 => {
                 // Half the load pcs read a never-stored pc-derived address
                 // (stable values, some becoming CVU constants); half read
@@ -248,64 +246,57 @@ fn canned_trace(seed: u64, n: usize) -> Trace {
                     0x20_0000 + ((r >> 24) % 128) * 8
                 };
                 let value = *mem.entry(addr).or_insert(addr.wrapping_mul(31));
-                TraceEntry {
+                TraceEntry::mem_op(
                     pc,
-                    kind: OpKind::Load,
-                    dst: Some(RegRef::int(dst)),
-                    srcs: [Some(RegRef::int(2)), None],
-                    mem: Some(MemAccess {
+                    OpKind::Load,
+                    Some(RegRef::int(dst)),
+                    [Some(RegRef::int(2)), None],
+                    MemAccess {
                         addr,
                         width: 8,
                         value,
                         fp: false,
-                    }),
-                    branch: None,
-                }
+                    },
+                )
             }
             65..=74 => {
                 let addr = 0x20_0000 + ((r >> 24) % 128) * 8;
                 mem.insert(addr, r);
-                TraceEntry {
+                TraceEntry::mem_op(
                     pc,
-                    kind: OpKind::Store,
-                    dst: None,
-                    srcs: [Some(RegRef::int(src)), Some(RegRef::int(2))],
-                    mem: Some(MemAccess {
+                    OpKind::Store,
+                    None,
+                    [Some(RegRef::int(src)), Some(RegRef::int(2))],
+                    MemAccess {
                         addr,
                         width: 8,
                         value: r,
                         fp: false,
-                    }),
-                    branch: None,
-                }
+                    },
+                )
             }
-            75..=79 => TraceEntry {
+            75..=79 => TraceEntry::op(
                 pc,
-                kind: OpKind::IntComplex,
-                dst: Some(RegRef::int(dst)),
-                srcs: [Some(RegRef::int(src)), Some(RegRef::int(2))],
-                mem: None,
-                branch: None,
-            },
-            80..=84 => TraceEntry {
+                OpKind::IntComplex,
+                Some(RegRef::int(dst)),
+                [Some(RegRef::int(src)), Some(RegRef::int(2))],
+            ),
+            80..=84 => TraceEntry::op(
                 pc,
-                kind: OpKind::FpSimple,
-                dst: Some(RegRef::fp(dst)),
-                srcs: [Some(RegRef::fp(src)), None],
-                mem: None,
-                branch: None,
-            },
-            _ => TraceEntry {
+                OpKind::FpSimple,
+                Some(RegRef::fp(dst)),
+                [Some(RegRef::fp(src)), None],
+            ),
+            _ => TraceEntry::control(
                 pc,
-                kind: OpKind::CondBranch,
-                dst: None,
-                srcs: [Some(RegRef::int(src)), None],
-                mem: None,
-                branch: Some(BranchEvent {
+                OpKind::CondBranch,
+                None,
+                [Some(RegRef::int(src)), None],
+                BranchEvent {
                     taken: !(r >> 32).is_multiple_of(4),
                     target: pc + 8,
-                }),
-            },
+                },
+            ),
         };
         entries.push(e);
     }
@@ -413,12 +404,12 @@ fn bench_interp_trace(cfg: &PerfConfig) -> Vec<u64> {
 fn bench_fastsim_stream(cfg: &PerfConfig) -> Vec<u64> {
     let program = trace_bench_program();
     // Streaming (no trace materialization): isolates pure engine
-    // dispatch cost from the memory-bandwidth-bound entry writes.
+    // dispatch cost from the page-fault-bound entry writes.
     sample(cfg, || {
         let mut sim = lvp_sim::FastSim::new(&program);
         let mut loads = 0u64;
         sim.run_with(lvp_workloads::DEFAULT_FUEL, |e| {
-            loads += u64::from(e.mem.is_some());
+            loads += u64::from(e.mem().is_some());
         })
         .expect("suite workload completes");
         loads
@@ -431,7 +422,7 @@ fn bench_interp_stream(cfg: &PerfConfig) -> Vec<u64> {
         let mut sim = lvp_sim::Machine::new(&program);
         let mut loads = 0u64;
         sim.run_with(lvp_workloads::DEFAULT_FUEL, |e| {
-            loads += u64::from(e.mem.is_some());
+            loads += u64::from(e.mem().is_some());
         })
         .expect("suite workload completes");
         loads

@@ -295,23 +295,23 @@ fn eval_backend_by_pc(kind: PredictorKind, trace: &Trace) -> BTreeMap<u64, PredE
     let mut backend = Backend::new(&cfg);
     let mut by_pc: BTreeMap<u64, PredEval> = BTreeMap::new();
     for e in trace.iter() {
-        let Some(mem) = e.mem else { continue };
-        if e.kind == OpKind::Store {
+        let Some(mem) = e.mem() else { continue };
+        if e.kind() == OpKind::Store {
             backend.on_store(mem.addr, mem.width, mem.value);
             continue;
         }
         if !e.is_load() {
             continue;
         }
-        let eval = by_pc.entry(e.pc).or_default();
+        let eval = by_pc.entry(e.pc()).or_default();
         eval.loads += 1;
-        if let Some(p) = backend.predict(e.pc, mem.addr) {
+        if let Some(p) = backend.predict(e.pc(), mem.addr) {
             eval.predicted += 1;
             if p == mem.value {
                 eval.correct += 1;
             }
         }
-        backend.train(e.pc, mem.addr, mem.value);
+        backend.train(e.pc(), mem.addr, mem.value);
     }
     by_pc
 }
@@ -368,16 +368,16 @@ pub fn value_flow_check_with(
     let constant_set: BTreeSet<u64> = constants.iter().copied().collect();
     let mut first_value: BTreeMap<u64, u64> = BTreeMap::new();
     for entry in trace.iter() {
-        if !entry.is_load() || !constant_set.contains(&entry.pc) {
+        if !entry.is_load() || !constant_set.contains(&entry.pc()) {
             continue;
         }
-        let Some(mem) = entry.mem else { continue };
-        match first_value.get(&entry.pc) {
+        let Some(mem) = entry.mem() else { continue };
+        match first_value.get(&entry.pc()) {
             None => {
-                first_value.insert(entry.pc, mem.value);
+                first_value.insert(entry.pc(), mem.value);
             }
             Some(&v) if v != mem.value => violations.push(ValueFlowViolation {
-                pc: entry.pc,
+                pc: entry.pc(),
                 class: LoadPredictability::MustConstant,
                 kind: ValueFlowViolationKind::ConstantValueChanged {
                     first: v,
@@ -478,9 +478,9 @@ pub fn value_flow_check_with(
         if !entry.is_load() {
             continue;
         }
-        let Some(mem) = entry.mem else { continue };
-        let correct = last_value.insert(entry.pc, mem.value) == Some(mem.value);
-        lct.update(entry.pc, correct);
+        let Some(mem) = entry.mem() else { continue };
+        let correct = last_value.insert(entry.pc(), mem.value) == Some(mem.value);
+        lct.update(entry.pc(), correct);
     }
     let predictable: BTreeSet<u64> = by_pc
         .iter()

@@ -3,7 +3,12 @@
 //! the caches it would inherit in-process are fresh) must compute zero
 //! traces, serve everything from disk, and render byte-identical output.
 
-use lvp_harness::{experiment, Engine};
+use lvp_harness::{experiment, run_workload_with, DiskCache, Engine, MachineModel};
+use lvp_isa::AsmProfile;
+use lvp_lang::OptLevel;
+use lvp_sim::SimEngine;
+use lvp_trace::crc32;
+use lvp_workloads::Workload;
 use std::path::PathBuf;
 
 fn temp_cache_dir(tag: &str) -> PathBuf {
@@ -102,4 +107,69 @@ fn engine_without_disk_cache_writes_nothing() {
     // And the builder is reversible.
     let detached = Engine::new().with_disk_cache(&dir).without_disk_cache();
     assert!(detached.disk_cache_dir().is_none());
+}
+
+/// A cache entry whose trace carries a record the timing models cannot
+/// interpret — a load rewritten into a conditional branch that still
+/// carries a memory access and no outcome, behind resealed, valid
+/// checksums — must be a miss, never a panic: `load` refuses it, and an
+/// engine reading the cache regenerates the trace and times it exactly
+/// as a clean engine does.
+#[test]
+fn kind_payload_mismatch_in_a_cached_trace_is_a_miss() {
+    let dir = temp_cache_dir("kind-mismatch");
+    let w = Workload::by_name("quick").unwrap();
+    let (profile, opt) = (AsmProfile::Toc, OptLevel::O0);
+    let run = run_workload_with(&w, profile, opt, SimEngine::default()).unwrap();
+    let cache = DiskCache::new(&dir);
+    cache.store(&w, profile, opt, &run).unwrap();
+    assert!(
+        cache.load(&w, profile, opt).is_some(),
+        "clean entry must hit"
+    );
+
+    // LVPC: magic/version (8), output checksum and count (16), the
+    // outputs, meta crc (4); then the LVPT v2 header (24) and the first
+    // block's header (12: entry count, byte length, crc32).
+    let path = cache.entry_path(&w, profile, opt);
+    let mut bytes = std::fs::read(&path).unwrap();
+    let outputs = u64::from_le_bytes(bytes[16..24].try_into().unwrap()) as usize;
+    let block = 8 + 16 + 8 * outputs + 4 + 24;
+    let block_len = u32::from_le_bytes(bytes[block + 4..block + 8].try_into().unwrap()) as usize;
+    let payload = block + 12;
+    let mut at = payload;
+    loop {
+        assert!(at < payload + block_len, "no load in the first block");
+        let (kind, flags) = (bytes[at + 8], bytes[at + 9]);
+        if kind == 4 {
+            assert_ne!(flags & 8, 0, "a load record carries its access");
+            bytes[at + 8] = 6; // CondBranch, mem flag kept
+            break;
+        }
+        at += 13 + if flags & 8 != 0 { 17 } else { 0 } + if flags & 16 != 0 { 8 } else { 0 };
+    }
+    let crc = crc32(&bytes[payload..payload + block_len]);
+    bytes[block + 8..block + 12].copy_from_slice(&crc.to_le_bytes());
+    std::fs::write(&path, &bytes).unwrap();
+
+    assert!(
+        cache.load(&w, profile, opt).is_none(),
+        "a record whose payload disagrees with its kind was served"
+    );
+    let timing = |engine: Engine| {
+        engine
+            .ctx()
+            .timing(&w, profile, opt, None, &MachineModel::ppc620())
+            .unwrap()
+    };
+    let clean = timing(Engine::new().with_workload_names(&["quick"]).unwrap());
+    let cached = timing(
+        Engine::new()
+            .with_workload_names(&["quick"])
+            .unwrap()
+            .with_disk_cache(&dir),
+    );
+    assert_eq!(*cached, *clean);
+
+    let _ = std::fs::remove_dir_all(&dir);
 }

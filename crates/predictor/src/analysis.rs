@@ -62,8 +62,8 @@ struct PcState {
 ///
 /// let mut profiler = LoadProfiler::new();
 /// for _ in 0..10 {
-///     let mut e = TraceEntry::simple(0x1000, OpKind::Load);
-///     e.mem = Some(MemAccess { addr: 0x10_0000, width: 8, value: 7, fp: false });
+///     let access = MemAccess { addr: 0x10_0000, width: 8, value: 7, fp: false };
+///     let e = TraceEntry::mem_op(0x1000, OpKind::Load, None, [None, None], access);
 ///     profiler.observe(&e);
 /// }
 /// let report = profiler.report();
@@ -100,8 +100,8 @@ impl LoadProfiler {
         if !entry.is_load() {
             return;
         }
-        let Some(mem) = entry.mem else { return };
-        let s = self.loads.entry(entry.pc).or_default();
+        let Some(mem) = entry.mem() else { return };
+        let s = self.loads.entry(entry.pc()).or_default();
         s.count += 1;
         s.fp = mem.fp;
         if s.last == Some(mem.value) {
@@ -154,14 +154,18 @@ mod tests {
     use lvp_trace::{MemAccess, OpKind};
 
     fn load(pc: u64, value: u64) -> TraceEntry {
-        let mut e = TraceEntry::simple(pc, OpKind::Load);
-        e.mem = Some(MemAccess {
-            addr: 0x10_0000,
-            width: 8,
-            value,
-            fp: false,
-        });
-        e
+        TraceEntry::mem_op(
+            pc,
+            OpKind::Load,
+            None,
+            [None, None],
+            MemAccess {
+                addr: 0x10_0000,
+                width: 8,
+                value,
+                fp: false,
+            },
+        )
     }
 
     #[test]

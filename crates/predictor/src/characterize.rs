@@ -174,8 +174,8 @@ pub struct Characterization {
 ///
 /// let mut c = Characterizer::new(4);
 /// for i in 0..4u64 {
-///     let mut e = TraceEntry::simple(0x1000, OpKind::Load);
-///     e.mem = Some(MemAccess { addr: 0x10_0000, width: 8, value: 7, fp: false });
+///     let access = MemAccess { addr: 0x10_0000, width: 8, value: 7, fp: false };
+///     let e = TraceEntry::mem_op(0x1000, OpKind::Load, None, [None, None], access);
 ///     c.observe(&e);
 /// }
 /// let report = c.finish();
@@ -216,17 +216,17 @@ impl Characterizer {
     pub fn observe(&mut self, e: &TraceEntry) {
         let index = self.index;
         self.index += 1;
-        match e.kind {
+        match e.kind() {
             OpKind::Store => {
                 self.stores += 1;
-                if let Some(mem) = e.mem {
+                if let Some(mem) = e.mem() {
                     self.last_store.insert(mem.addr & !7, index);
                 }
             }
             OpKind::Load => {
-                let Some(mem) = e.mem else { return };
+                let Some(mem) = e.mem() else { return };
                 let half = usize::from(2 * index >= self.total_entries);
-                let st = self.per_pc.entry(e.pc).or_default();
+                let st = self.per_pc.entry(e.pc()).or_default();
                 st.count += 1;
                 st.fp |= mem.fp;
                 st.seen_half[half] = true;
@@ -355,25 +355,33 @@ mod tests {
     use lvp_trace::MemAccess;
 
     fn load(pc: u64, addr: u64, value: u64) -> TraceEntry {
-        let mut e = TraceEntry::simple(pc, OpKind::Load);
-        e.mem = Some(MemAccess {
-            addr,
-            width: 8,
-            value,
-            fp: false,
-        });
-        e
+        TraceEntry::mem_op(
+            pc,
+            OpKind::Load,
+            None,
+            [None, None],
+            MemAccess {
+                addr,
+                width: 8,
+                value,
+                fp: false,
+            },
+        )
     }
 
     fn store(pc: u64, addr: u64, value: u64) -> TraceEntry {
-        let mut e = TraceEntry::simple(pc, OpKind::Store);
-        e.mem = Some(MemAccess {
-            addr,
-            width: 8,
-            value,
-            fp: false,
-        });
-        e
+        TraceEntry::mem_op(
+            pc,
+            OpKind::Store,
+            None,
+            [None, None],
+            MemAccess {
+                addr,
+                width: 8,
+                value,
+                fp: false,
+            },
+        )
     }
 
     fn characterize(entries: &[TraceEntry]) -> Characterization {

@@ -88,8 +88,8 @@ struct ClassCounters {
 ///
 /// let mut meter = LocalityMeter::with_depths(1024, &[1, 16]);
 /// for i in 0..100u64 {
-///     let mut e = TraceEntry::simple(0x10000, OpKind::Load);
-///     e.mem = Some(MemAccess { addr: 0x10_0000, width: 8, value: i % 2, fp: false });
+///     let access = MemAccess { addr: 0x10_0000, width: 8, value: i % 2, fp: false };
+///     let e = TraceEntry::mem_op(0x10000, OpKind::Load, None, [None, None], access);
 ///     meter.observe(&e);
 /// }
 /// // Alternating values never match at depth 1, almost always at depth 16.
@@ -166,8 +166,8 @@ impl LocalityMeter {
         if !entry.is_load() {
             return;
         }
-        let Some(mem) = entry.mem else { return };
-        self.observe_load(entry.pc, mem.value, mem.fp);
+        let Some(mem) = entry.mem() else { return };
+        self.observe_load(entry.pc(), mem.value, mem.fp);
     }
 
     /// Observes one dynamic load directly.
@@ -260,14 +260,18 @@ mod tests {
     use lvp_trace::{MemAccess, OpKind};
 
     fn load(pc: u64, value: u64, fp: bool) -> TraceEntry {
-        let mut e = TraceEntry::simple(pc, OpKind::Load);
-        e.mem = Some(MemAccess {
-            addr: 0x10_0000,
-            width: 8,
-            value,
-            fp,
-        });
-        e
+        TraceEntry::mem_op(
+            pc,
+            OpKind::Load,
+            None,
+            [None, None],
+            MemAccess {
+                addr: 0x10_0000,
+                width: 8,
+                value,
+                fp,
+            },
+        )
     }
 
     #[test]
@@ -337,13 +341,18 @@ mod tests {
     fn non_loads_are_ignored() {
         let mut m = LocalityMeter::paper_default();
         m.observe(&TraceEntry::simple(0x10000, OpKind::IntSimple));
-        let mut store = TraceEntry::simple(0x10004, OpKind::Store);
-        store.mem = Some(MemAccess {
-            addr: 0x10_0000,
-            width: 8,
-            value: 1,
-            fp: false,
-        });
+        let store = TraceEntry::mem_op(
+            0x10004,
+            OpKind::Store,
+            None,
+            [None, None],
+            MemAccess {
+                addr: 0x10_0000,
+                width: 8,
+                value: 1,
+                fp: false,
+            },
+        );
         m.observe(&store);
         assert_eq!(m.loads(), 0);
     }

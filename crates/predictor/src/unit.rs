@@ -444,11 +444,11 @@ impl LvpUnit {
         outcomes: &mut Vec<PredOutcome>,
     ) {
         for entry in entries {
-            if let Some(mem) = entry.mem {
+            if let Some(mem) = entry.mem() {
                 if entry.is_load() {
-                    outcomes.push(self.on_load(entry.pc, mem.addr, mem.width, mem.value));
+                    outcomes.push(self.on_load(entry.pc(), mem.addr, mem.width, mem.value));
                 } else {
-                    self.on_store_at(entry.pc, mem.addr, mem.width, mem.value);
+                    self.on_store_at(entry.pc(), mem.addr, mem.width, mem.value);
                 }
             }
         }
@@ -634,22 +634,32 @@ mod tests {
         let value_at = |i: u64| 7 + (i / 5);
         for i in 0..10u64 {
             if i == 5 {
-                let mut s = TraceEntry::simple(PC + 4, OpKind::Store);
-                s.mem = Some(MemAccess {
+                let s = TraceEntry::mem_op(
+                    PC + 4,
+                    OpKind::Store,
+                    None,
+                    [None, None],
+                    MemAccess {
+                        addr: ADDR,
+                        width: 8,
+                        value: value_at(i),
+                        fp: false,
+                    },
+                );
+                t.push(s);
+            }
+            let e = TraceEntry::mem_op(
+                PC,
+                OpKind::Load,
+                None,
+                [None, None],
+                MemAccess {
                     addr: ADDR,
                     width: 8,
                     value: value_at(i),
                     fp: false,
-                });
-                t.push(s);
-            }
-            let mut e = TraceEntry::simple(PC, OpKind::Load);
-            e.mem = Some(MemAccess {
-                addr: ADDR,
-                width: 8,
-                value: value_at(i),
-                fp: false,
-            });
+                },
+            );
             t.push(e);
         }
         let mut u1 = LvpUnit::new(presets::simple());

@@ -16,25 +16,33 @@ use lvp_trace::{MemAccess, OpKind, TraceEntry};
 use std::collections::{HashMap, HashSet};
 
 fn load(pc: u64, addr: u64, value: u64) -> TraceEntry {
-    let mut e = TraceEntry::simple(pc, OpKind::Load);
-    e.mem = Some(MemAccess {
-        addr,
-        width: 8,
-        value,
-        fp: false,
-    });
-    e
+    TraceEntry::mem_op(
+        pc,
+        OpKind::Load,
+        None,
+        [None, None],
+        MemAccess {
+            addr,
+            width: 8,
+            value,
+            fp: false,
+        },
+    )
 }
 
 fn store(pc: u64, addr: u64, value: u64) -> TraceEntry {
-    let mut e = TraceEntry::simple(pc, OpKind::Store);
-    e.mem = Some(MemAccess {
-        addr,
-        width: 8,
-        value,
-        fp: false,
-    });
-    e
+    TraceEntry::mem_op(
+        pc,
+        OpKind::Store,
+        None,
+        [None, None],
+        MemAccess {
+            addr,
+            width: 8,
+            value,
+            fp: false,
+        },
+    )
 }
 
 /// A randomized trace: a handful of load PCs with values drawn from a
@@ -74,9 +82,9 @@ fn loads_of(entries: &[TraceEntry], pc: u64) -> Vec<(usize, u64, u64)> {
     entries
         .iter()
         .enumerate()
-        .filter(|(_, e)| e.kind == OpKind::Load && e.pc == pc)
+        .filter(|(_, e)| e.kind() == OpKind::Load && e.pc() == pc)
         .map(|(i, e)| {
-            let m = e.mem.unwrap();
+            let m = e.mem().unwrap();
             (i, m.value, m.addr)
         })
         .collect()
@@ -183,15 +191,15 @@ fn feed_metrics_match_brute_force() {
             let mut fed = 0u64;
             let mut dist_sum = 0u64;
             for (i, e) in entries.iter().enumerate() {
-                if e.kind != OpKind::Load || e.pc != p.pc {
+                if e.kind() != OpKind::Load || e.pc() != p.pc {
                     continue;
                 }
-                let addr = e.mem.unwrap().addr & !7;
+                let addr = e.mem().unwrap().addr & !7;
                 // Backward scan for the latest earlier store to the
                 // same word.
                 if let Some(si) = (0..i).rev().find(|&j| {
-                    entries[j].kind == OpKind::Store
-                        && entries[j].mem.is_some_and(|m| m.addr & !7 == addr)
+                    entries[j].kind() == OpKind::Store
+                        && entries[j].mem().is_some_and(|m| m.addr & !7 == addr)
                 }) {
                     fed += 1;
                     dist_sum += (i - si) as u64;
@@ -245,8 +253,8 @@ fn noise_never_raises_stride_coverage() {
                 .enumerate()
                 .map(|(i, e)| {
                     if corrupted.contains(&i) {
-                        let m = e.mem.unwrap();
-                        load(e.pc, m.addr, r.next_full())
+                        let m = e.mem().unwrap();
+                        load(e.pc(), m.addr, r.next_full())
                     } else {
                         *e
                     }

@@ -44,19 +44,18 @@ fn random_trace(seed: u64, n: usize, pcs: u64) -> Vec<TraceEntry> {
         let pool_addr = 0x10_0000 + ((r >> 16) % 64) * 8;
         if r.is_multiple_of(8) {
             mem.insert(pool_addr, r);
-            out.push(TraceEntry {
+            out.push(TraceEntry::mem_op(
                 pc,
-                kind: OpKind::Store,
-                dst: None,
-                srcs: [Some(RegRef::int(3)), Some(RegRef::int(2))],
-                mem: Some(MemAccess {
+                OpKind::Store,
+                None,
+                [Some(RegRef::int(3)), Some(RegRef::int(2))],
+                MemAccess {
                     addr: pool_addr,
                     width: 8,
                     value: r,
                     fp: false,
-                }),
-                branch: None,
-            });
+                },
+            ));
         } else {
             let stable = pc.is_multiple_of(8);
             let addr = if stable {
@@ -65,19 +64,18 @@ fn random_trace(seed: u64, n: usize, pcs: u64) -> Vec<TraceEntry> {
                 pool_addr
             };
             let value = *mem.entry(addr).or_insert(addr.wrapping_mul(31));
-            out.push(TraceEntry {
+            out.push(TraceEntry::mem_op(
                 pc,
-                kind: OpKind::Load,
-                dst: Some(RegRef::int(4)),
-                srcs: [Some(RegRef::int(2)), None],
-                mem: Some(MemAccess {
+                OpKind::Load,
+                Some(RegRef::int(4)),
+                [Some(RegRef::int(2)), None],
+                MemAccess {
                     addr,
                     width: 8,
                     value,
                     fp: false,
-                }),
-                branch: None,
-            });
+                },
+            ));
         }
     }
     out
@@ -168,9 +166,9 @@ impl Reference {
     fn run(&mut self, entries: &[TraceEntry]) -> Vec<PredOutcome> {
         let mut outcomes = Vec::new();
         for e in entries {
-            if let Some(mem) = e.mem {
-                if e.kind == OpKind::Load {
-                    outcomes.push(self.on_load(e.pc, mem.addr, mem.width, mem.value));
+            if let Some(mem) = e.mem() {
+                if e.kind() == OpKind::Load {
+                    outcomes.push(self.on_load(e.pc(), mem.addr, mem.width, mem.value));
                 } else {
                     self.on_store(mem.addr, mem.width);
                 }
@@ -184,8 +182,8 @@ impl Reference {
 fn load_pcs(entries: &[TraceEntry]) -> Vec<u64> {
     entries
         .iter()
-        .filter(|e| e.kind == OpKind::Load)
-        .map(|e| e.pc)
+        .filter(|e| e.kind() == OpKind::Load)
+        .map(|e| e.pc())
         .collect()
 }
 

@@ -24,7 +24,7 @@
 use crate::fastsim::uop::{CmpKind, Cursor, Op, ESCAPE_IDX};
 use crate::memory::Memory;
 use lvp_isa::{Instr, Program, Reg, TEXT_BASE};
-use lvp_trace::{BranchEvent, OpKind, RegRef, TraceEntry};
+use lvp_trace::{BranchEvent, MemAccess, OpKind, RegRef, TraceEntry};
 
 /// A program lowered to micro-ops. `ops` and `tpls` have the same length:
 /// one slot per text instruction plus the trailing escape sentinel.
@@ -233,17 +233,32 @@ pub(crate) fn decode(program: &Program) -> Code {
     Code { ops, tpls }
 }
 
+/// Payload placeholder of a load/store template; the dispatch loop
+/// fills in the real access with [`TraceEntry::with_mem`].
+const PENDING: MemAccess = MemAccess {
+    addr: 0,
+    width: 8,
+    value: 0,
+    fp: false,
+};
+
+/// Payload placeholder of a conditional-branch or indirect-jump
+/// template; the dispatch loop fills in the real outcome with
+/// [`TraceEntry::with_branch`].
+const PENDING_BRANCH: BranchEvent = BranchEvent {
+    taken: true,
+    target: 0,
+};
+
 /// Lowers one instruction to its micro-op and trace-entry template,
 /// mirroring `Machine::execute` arm by arm.
 fn lower(pc: u64, instr: &Instr, in_text: &dyn Fn(u64) -> u32) -> (Op, TraceEntry) {
     use Instr::*;
-    let mut tpl = TraceEntry::simple(pc, OpKind::IntSimple);
+    let tpl;
 
     macro_rules! rrr {
         ($opv:ident, $rd:expr, $rs1:expr, $rs2:expr, $kind:expr) => {{
-            tpl.kind = $kind;
-            tpl.dst = iref($rd);
-            tpl.srcs = [iref($rs1), iref($rs2)];
+            tpl = TraceEntry::op(pc, $kind, iref($rd), [iref($rs1), iref($rs2)]);
             if $rd.is_zero() {
                 Op::Fixed
             } else {
@@ -257,9 +272,7 @@ fn lower(pc: u64, instr: &Instr, in_text: &dyn Fn(u64) -> u32) -> (Op, TraceEntr
     }
     macro_rules! rri {
         ($rd:expr, $rs1:expr, $op:expr) => {{
-            tpl.kind = OpKind::IntSimple;
-            tpl.dst = iref($rd);
-            tpl.srcs = [iref($rs1), None];
+            tpl = TraceEntry::op(pc, OpKind::IntSimple, iref($rd), [iref($rs1), None]);
             if $rd.is_zero() {
                 Op::Fixed
             } else {
@@ -269,9 +282,7 @@ fn lower(pc: u64, instr: &Instr, in_text: &dyn Fn(u64) -> u32) -> (Op, TraceEntr
     }
     macro_rules! ld {
         ($opv:ident, $rd:expr, $base:expr, $off:expr) => {{
-            tpl.kind = OpKind::Load;
-            tpl.dst = iref($rd);
-            tpl.srcs = [iref($base), None];
+            tpl = TraceEntry::mem_op(pc, OpKind::Load, iref($rd), [iref($base), None], PENDING);
             Op::$opv {
                 rd: $rd.number(),
                 base: $base.number(),
@@ -281,8 +292,7 @@ fn lower(pc: u64, instr: &Instr, in_text: &dyn Fn(u64) -> u32) -> (Op, TraceEntr
     }
     macro_rules! st {
         ($opv:ident, $rs2:expr, $base:expr, $off:expr) => {{
-            tpl.kind = OpKind::Store;
-            tpl.srcs = [iref($base), iref($rs2)];
+            tpl = TraceEntry::mem_op(pc, OpKind::Store, None, [iref($base), iref($rs2)], PENDING);
             Op::$opv {
                 rs2: $rs2.number(),
                 base: $base.number(),
@@ -292,9 +302,7 @@ fn lower(pc: u64, instr: &Instr, in_text: &dyn Fn(u64) -> u32) -> (Op, TraceEntr
     }
     macro_rules! fp3 {
         ($opv:ident, $fd:expr, $fs1:expr, $fs2:expr, $kind:expr) => {{
-            tpl.kind = $kind;
-            tpl.dst = fref($fd);
-            tpl.srcs = [fref($fs1), fref($fs2)];
+            tpl = TraceEntry::op(pc, $kind, fref($fd), [fref($fs1), fref($fs2)]);
             Op::$opv {
                 fd: $fd.number(),
                 fs1: $fs1.number(),
@@ -304,9 +312,7 @@ fn lower(pc: u64, instr: &Instr, in_text: &dyn Fn(u64) -> u32) -> (Op, TraceEntr
     }
     macro_rules! fp2 {
         ($opv:ident, $fd:expr, $fs1:expr, $kind:expr) => {{
-            tpl.kind = $kind;
-            tpl.dst = fref($fd);
-            tpl.srcs = [fref($fs1), None];
+            tpl = TraceEntry::op(pc, $kind, fref($fd), [fref($fs1), None]);
             Op::$opv {
                 fd: $fd.number(),
                 fs1: $fs1.number(),
@@ -315,9 +321,7 @@ fn lower(pc: u64, instr: &Instr, in_text: &dyn Fn(u64) -> u32) -> (Op, TraceEntr
     }
     macro_rules! fcmp {
         ($opv:ident, $rd:expr, $fs1:expr, $fs2:expr) => {{
-            tpl.kind = OpKind::FpSimple;
-            tpl.dst = iref($rd);
-            tpl.srcs = [fref($fs1), fref($fs2)];
+            tpl = TraceEntry::op(pc, OpKind::FpSimple, iref($rd), [fref($fs1), fref($fs2)]);
             Op::$opv {
                 rd: $rd.number(),
                 fs1: $fs1.number(),
@@ -327,9 +331,14 @@ fn lower(pc: u64, instr: &Instr, in_text: &dyn Fn(u64) -> u32) -> (Op, TraceEntr
     }
     macro_rules! br {
         ($opv:ident, $rs1:expr, $rs2:expr, $off:expr) => {{
-            tpl.kind = OpKind::CondBranch;
-            tpl.srcs = [iref($rs1), iref($rs2)];
             let t_pc = pc.wrapping_add(sext($off));
+            tpl = TraceEntry::control(
+                pc,
+                OpKind::CondBranch,
+                None,
+                [iref($rs1), iref($rs2)],
+                PENDING_BRANCH,
+            );
             Op::$opv {
                 rs1: $rs1.number(),
                 rs2: $rs2.number(),
@@ -445,8 +454,8 @@ fn lower(pc: u64, instr: &Instr, in_text: &dyn Fn(u64) -> u32) -> (Op, TraceEntr
             }
         ),
         Lui { rd, imm } => {
-            // `Machine` leaves the default IntSimple kind and sets no srcs.
-            tpl.dst = iref(rd);
+            // `Machine` records an IntSimple with no srcs.
+            tpl = TraceEntry::op(pc, OpKind::IntSimple, iref(rd), [None, None]);
             if rd.is_zero() {
                 Op::Fixed
             } else {
@@ -464,9 +473,7 @@ fn lower(pc: u64, instr: &Instr, in_text: &dyn Fn(u64) -> u32) -> (Op, TraceEntr
         Lwu { rd, base, offset } => ld!(Lwu, rd, base, offset),
         Ld { rd, base, offset } => ld!(Ld, rd, base, offset),
         Fld { fd, base, offset } => {
-            tpl.kind = OpKind::Load;
-            tpl.dst = fref(fd);
-            tpl.srcs = [iref(base), None];
+            tpl = TraceEntry::mem_op(pc, OpKind::Load, fref(fd), [iref(base), None], PENDING);
             Op::Fld {
                 fd: fd.number(),
                 base: base.number(),
@@ -478,8 +485,7 @@ fn lower(pc: u64, instr: &Instr, in_text: &dyn Fn(u64) -> u32) -> (Op, TraceEntr
         Sw { rs2, base, offset } => st!(Sw, rs2, base, offset),
         Sd { rs2, base, offset } => st!(Sd, rs2, base, offset),
         Fsd { fs2, base, offset } => {
-            tpl.kind = OpKind::Store;
-            tpl.srcs = [iref(base), fref(fs2)];
+            tpl = TraceEntry::mem_op(pc, OpKind::Store, None, [iref(base), fref(fs2)], PENDING);
             Op::Fsd {
                 fs2: fs2.number(),
                 base: base.number(),
@@ -499,36 +505,28 @@ fn lower(pc: u64, instr: &Instr, in_text: &dyn Fn(u64) -> u32) -> (Op, TraceEntr
         FltD { rd, fs1, fs2 } => fcmp!(FltD, rd, fs1, fs2),
         FleD { rd, fs1, fs2 } => fcmp!(FleD, rd, fs1, fs2),
         FcvtDL { fd, rs1 } => {
-            tpl.kind = OpKind::FpSimple;
-            tpl.dst = fref(fd);
-            tpl.srcs = [iref(rs1), None];
+            tpl = TraceEntry::op(pc, OpKind::FpSimple, fref(fd), [iref(rs1), None]);
             Op::FcvtDL {
                 fd: fd.number(),
                 rs1: rs1.number(),
             }
         }
         FcvtLD { rd, fs1 } => {
-            tpl.kind = OpKind::FpSimple;
-            tpl.dst = iref(rd);
-            tpl.srcs = [fref(fs1), None];
+            tpl = TraceEntry::op(pc, OpKind::FpSimple, iref(rd), [fref(fs1), None]);
             Op::FcvtLD {
                 rd: rd.number(),
                 fs1: fs1.number(),
             }
         }
         FmvXD { rd, fs1 } => {
-            tpl.kind = OpKind::FpSimple;
-            tpl.dst = iref(rd);
-            tpl.srcs = [fref(fs1), None];
+            tpl = TraceEntry::op(pc, OpKind::FpSimple, iref(rd), [fref(fs1), None]);
             Op::FmvXD {
                 rd: rd.number(),
                 fs1: fs1.number(),
             }
         }
         FmvDX { fd, rs1 } => {
-            tpl.kind = OpKind::FpSimple;
-            tpl.dst = fref(fd);
-            tpl.srcs = [iref(rs1), None];
+            tpl = TraceEntry::op(pc, OpKind::FpSimple, fref(fd), [iref(rs1), None]);
             Op::FmvDX {
                 fd: fd.number(),
                 rs1: rs1.number(),
@@ -542,13 +540,12 @@ fn lower(pc: u64, instr: &Instr, in_text: &dyn Fn(u64) -> u32) -> (Op, TraceEntr
         Bgeu { rs1, rs2, offset } => br!(Bgeu, rs1, rs2, offset),
         Jal { rd, offset } => {
             let t_pc = pc.wrapping_add(sext(offset));
-            tpl.kind = OpKind::Jump;
-            tpl.dst = iref(rd);
             // A direct jump's branch event is fully static: bake it in.
-            tpl.branch = Some(BranchEvent {
+            let event = BranchEvent {
                 taken: true,
                 target: t_pc,
-            });
+            };
+            tpl = TraceEntry::control(pc, OpKind::Jump, iref(rd), [None, None], event);
             Op::Jal {
                 rd: rd.number(),
                 t_pc,
@@ -556,9 +553,13 @@ fn lower(pc: u64, instr: &Instr, in_text: &dyn Fn(u64) -> u32) -> (Op, TraceEntr
             }
         }
         Jalr { rd, rs1, offset } => {
-            tpl.kind = OpKind::IndirectJump;
-            tpl.dst = iref(rd);
-            tpl.srcs = [iref(rs1), None];
+            tpl = TraceEntry::control(
+                pc,
+                OpKind::IndirectJump,
+                iref(rd),
+                [iref(rs1), None],
+                PENDING_BRANCH,
+            );
             Op::Jalr {
                 rd: rd.number(),
                 rs1: rs1.number(),
@@ -566,21 +567,19 @@ fn lower(pc: u64, instr: &Instr, in_text: &dyn Fn(u64) -> u32) -> (Op, TraceEntr
             }
         }
         Out { rs1 } => {
-            tpl.kind = OpKind::System;
-            tpl.srcs = [iref(rs1), None];
+            tpl = TraceEntry::op(pc, OpKind::System, None, [iref(rs1), None]);
             Op::Out { rs1: rs1.number() }
         }
         OutF { fs1 } => {
-            tpl.kind = OpKind::System;
-            tpl.srcs = [fref(fs1), None];
+            tpl = TraceEntry::op(pc, OpKind::System, None, [fref(fs1), None]);
             Op::OutF { fs1: fs1.number() }
         }
         Halt => {
-            tpl.kind = OpKind::System;
+            tpl = TraceEntry::op(pc, OpKind::System, None, [None, None]);
             Op::Halt
         }
         Nop => {
-            tpl.kind = OpKind::System;
+            tpl = TraceEntry::op(pc, OpKind::System, None, [None, None]);
             Op::Fixed
         }
     };

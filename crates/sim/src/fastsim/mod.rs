@@ -176,7 +176,9 @@ impl<'a> FastSim<'a> {
     pub fn run_traced(&mut self, max_instrs: u64) -> Result<Trace, SimError> {
         // Pushing straight into the trace (with `Trace::push` inlined)
         // fuses statistics collection into the fill pass, so each entry
-        // is written exactly once — this path is memory-bandwidth-bound.
+        // is written exactly once. What remains is dominated by the
+        // first-touch page faults of the growing buffer, paid per byte
+        // of `TraceEntry` (DESIGN.md §10), not by dispatch.
         let mut trace = Trace::with_capacity(4096);
         self.run_with(max_instrs, |e| trace.push(*e))?;
         Ok(trace)
@@ -279,12 +281,11 @@ impl<'a> FastSim<'a> {
                     let addr = regs[$base as usize].wrapping_add($off);
                     let raw = mem
                         .load(addr, $w)
-                        .map_err(|cause| SimError::Mem { pc: $t.pc, cause })?;
+                        .map_err(|cause| SimError::Mem { pc: $t.pc(), cause })?;
                     #[allow(clippy::redundant_closure_call)]
                     let value: u64 = $ext(raw);
                     wr!($rd, value);
-                    let mut e = *$t;
-                    e.mem = Some(MemAccess {
+                    let e = $t.with_mem(MemAccess {
                         addr,
                         width: $w,
                         value,
@@ -300,14 +301,13 @@ impl<'a> FastSim<'a> {
                     let addr = regs[$base as usize].wrapping_add($off);
                     let value = regs[$rs2 as usize];
                     mem.store(addr, $w, value)
-                        .map_err(|cause| SimError::Mem { pc: $t.pc, cause })?;
+                        .map_err(|cause| SimError::Mem { pc: $t.pc(), cause })?;
                     let stored = if $w == 8 {
                         value
                     } else {
                         value & ((1u64 << ($w * 8)) - 1)
                     };
-                    let mut e = *$t;
-                    e.mem = Some(MemAccess {
+                    let e = $t.with_mem(MemAccess {
                         addr,
                         width: $w,
                         value: stored,
@@ -353,24 +353,23 @@ impl<'a> FastSim<'a> {
             macro_rules! branch {
                 ($t:expr, $idx2:expr, $taken:expr, $t_pc:expr, $t_idx:expr) => {{
                     let taken = $taken;
-                    let mut e = *$t;
-                    if taken {
-                        e.branch = Some(BranchEvent {
-                            taken: true,
-                            target: $t_pc,
-                        });
+                    let e = if taken {
                         *cursor = if $t_idx != ESCAPE_IDX {
                             Cursor::Text($t_idx)
                         } else {
                             Cursor::Outside($t_pc)
                         };
+                        $t.with_branch(BranchEvent {
+                            taken: true,
+                            target: $t_pc,
+                        })
                     } else {
-                        e.branch = Some(BranchEvent {
-                            taken: false,
-                            target: $t.pc + 4,
-                        });
                         *cursor = Cursor::Text($idx2 + 1);
-                    }
+                        $t.with_branch(BranchEvent {
+                            taken: false,
+                            target: $t.pc() + 4,
+                        })
+                    };
                     f(&e);
                     instret.retire();
                 }};
@@ -496,12 +495,12 @@ impl<'a> FastSim<'a> {
                 }
                 Op::Fld { fd, base, off } => {
                     let addr = regs[base as usize].wrapping_add(off);
-                    let raw = mem
-                        .load(addr, 8)
-                        .map_err(|cause| SimError::Mem { pc: tpl.pc, cause })?;
+                    let raw = mem.load(addr, 8).map_err(|cause| SimError::Mem {
+                        pc: tpl.pc(),
+                        cause,
+                    })?;
                     fregs[fd as usize] = f64::from_bits(raw);
-                    let mut e = *tpl;
-                    e.mem = Some(MemAccess {
+                    let e = tpl.with_mem(MemAccess {
                         addr,
                         width: 8,
                         value: raw,
@@ -518,10 +517,11 @@ impl<'a> FastSim<'a> {
                 Op::Fsd { fs2, base, off } => {
                     let addr = regs[base as usize].wrapping_add(off);
                     let bits = fregs[fs2 as usize].to_bits();
-                    mem.store(addr, 8, bits)
-                        .map_err(|cause| SimError::Mem { pc: tpl.pc, cause })?;
-                    let mut e = *tpl;
-                    e.mem = Some(MemAccess {
+                    mem.store(addr, 8, bits).map_err(|cause| SimError::Mem {
+                        pc: tpl.pc(),
+                        cause,
+                    })?;
+                    let e = tpl.with_mem(MemAccess {
                         addr,
                         width: 8,
                         value: bits,
@@ -600,7 +600,7 @@ impl<'a> FastSim<'a> {
                     t_idx,
                 } => cond!(rs1, rs2, t_pc, t_idx, |a: u64, b: u64| a >= b),
                 Op::Jal { rd, t_pc, t_idx } => {
-                    wr!(rd, tpl.pc + 4);
+                    wr!(rd, tpl.pc() + 4);
                     // Template already carries the static branch event.
                     f(tpl);
                     instret.retire();
@@ -612,9 +612,8 @@ impl<'a> FastSim<'a> {
                 }
                 Op::Jalr { rd, rs1, off } => {
                     let target = regs[rs1 as usize].wrapping_add(off) & !1;
-                    wr!(rd, tpl.pc + 4);
-                    let mut e = *tpl;
-                    e.branch = Some(BranchEvent {
+                    wr!(rd, tpl.pc() + 4);
+                    let e = tpl.with_branch(BranchEvent {
                         taken: true,
                         target,
                     });
@@ -639,8 +638,7 @@ impl<'a> FastSim<'a> {
                 Op::PoolLd { rd, mi, addr } => {
                     let value = mem.load8_at(mi as usize);
                     wr!(rd, value);
-                    let mut e = *tpl;
-                    e.mem = Some(MemAccess {
+                    let e = tpl.with_mem(MemAccess {
                         addr,
                         width: 8,
                         value,
@@ -653,8 +651,7 @@ impl<'a> FastSim<'a> {
                 Op::PoolFld { fd, mi, addr } => {
                     let raw = mem.load8_at(mi as usize);
                     fregs[fd as usize] = f64::from_bits(raw);
-                    let mut e = *tpl;
-                    e.mem = Some(MemAccess {
+                    let e = tpl.with_mem(MemAccess {
                         addr,
                         width: 8,
                         value: raw,
@@ -675,12 +672,12 @@ impl<'a> FastSim<'a> {
                     // value is shared by both halves.
                     let b = regs[base as usize];
                     let addr = b.wrapping_add(off1);
-                    let value = mem
-                        .load(addr, 8)
-                        .map_err(|cause| SimError::Mem { pc: tpl.pc, cause })?;
+                    let value = mem.load(addr, 8).map_err(|cause| SimError::Mem {
+                        pc: tpl.pc(),
+                        cause,
+                    })?;
                     wr!(rd1, value);
-                    let mut e = *tpl;
-                    e.mem = Some(MemAccess {
+                    let e = tpl.with_mem(MemAccess {
                         addr,
                         width: 8,
                         value,
@@ -692,12 +689,12 @@ impl<'a> FastSim<'a> {
                     fuel!();
                     let tpl2 = &tpls[idx + 1];
                     let addr = b.wrapping_add(off2);
-                    let value = mem
-                        .load(addr, 8)
-                        .map_err(|cause| SimError::Mem { pc: tpl2.pc, cause })?;
+                    let value = mem.load(addr, 8).map_err(|cause| SimError::Mem {
+                        pc: tpl2.pc(),
+                        cause,
+                    })?;
                     wr!(rd2, value);
-                    let mut e = *tpl2;
-                    e.mem = Some(MemAccess {
+                    let e = tpl2.with_mem(MemAccess {
                         addr,
                         width: 8,
                         value,
@@ -720,10 +717,11 @@ impl<'a> FastSim<'a> {
                     let tpl2 = &tpls[idx + 1];
                     let addr = b.wrapping_add(off2);
                     let value = regs[vb as usize];
-                    mem.store(addr, 8, value)
-                        .map_err(|cause| SimError::Mem { pc: tpl2.pc, cause })?;
-                    let mut e = *tpl2;
-                    e.mem = Some(MemAccess {
+                    mem.store(addr, 8, value).map_err(|cause| SimError::Mem {
+                        pc: tpl2.pc(),
+                        cause,
+                    })?;
+                    let e = tpl2.with_mem(MemAccess {
                         addr,
                         width: 8,
                         value,
@@ -782,7 +780,7 @@ impl<'a> FastSim<'a> {
                     // Fell off the end of (or was steered past) the
                     // decoded text: resolve as an outside fetch. The pc
                     // for this slot is the template's pc.
-                    *cursor = Cursor::Outside(tpl.pc);
+                    *cursor = Cursor::Outside(tpl.pc());
                 }
             }
         }

@@ -290,25 +290,29 @@ impl<'a> Machine<'a> {
     fn execute(&mut self, pc: u64, instr: Instr) -> Result<TraceEntry, SimError> {
         use Instr::*;
         let mut next_pc = pc + 4;
-        let mut entry = TraceEntry::simple(pc, OpKind::IntSimple);
+        let mut kind = OpKind::IntSimple;
+        let mut dst = None;
+        let mut srcs = [None, None];
+        let mut mem = None;
+        let mut branch = None;
 
         macro_rules! alu_rrr {
             ($rd:expr, $rs1:expr, $rs2:expr, $kind:expr, $f:expr) => {{
                 let a = self.reg($rs1);
                 let b = self.reg($rs2);
                 self.set_reg($rd, $f(a, b));
-                entry.kind = $kind;
-                entry.dst = Self::dst($rd);
-                entry.srcs = [Self::src($rs1), Self::src($rs2)];
+                kind = $kind;
+                dst = Self::dst($rd);
+                srcs = [Self::src($rs1), Self::src($rs2)];
             }};
         }
         macro_rules! alu_rri {
             ($rd:expr, $rs1:expr, $kind:expr, $f:expr) => {{
                 let a = self.reg($rs1);
                 self.set_reg($rd, $f(a));
-                entry.kind = $kind;
-                entry.dst = Self::dst($rd);
-                entry.srcs = [Self::src($rs1), None];
+                kind = $kind;
+                dst = Self::dst($rd);
+                srcs = [Self::src($rs1), None];
             }};
         }
         macro_rules! fp_rrr {
@@ -316,9 +320,9 @@ impl<'a> Machine<'a> {
                 let a = self.fregs[$fs1.number() as usize];
                 let b = self.fregs[$fs2.number() as usize];
                 self.fregs[$fd.number() as usize] = $f(a, b);
-                entry.kind = $kind;
-                entry.dst = Some(RegRef::fp($fd.number()));
-                entry.srcs = [
+                kind = $kind;
+                dst = Some(RegRef::fp($fd.number()));
+                srcs = [
                     Some(RegRef::fp($fs1.number())),
                     Some(RegRef::fp($fs2.number())),
                 ];
@@ -333,10 +337,10 @@ impl<'a> Machine<'a> {
                     .map_err(|cause| SimError::Mem { pc, cause })?;
                 let value: u64 = $ext(raw);
                 self.set_reg($rd, value);
-                entry.kind = OpKind::Load;
-                entry.dst = Self::dst($rd);
-                entry.srcs = [Self::src($base), None];
-                entry.mem = Some(MemAccess {
+                kind = OpKind::Load;
+                dst = Self::dst($rd);
+                srcs = [Self::src($base), None];
+                mem = Some(MemAccess {
                     addr,
                     width: $width,
                     value,
@@ -351,14 +355,14 @@ impl<'a> Machine<'a> {
                 self.mem
                     .store(addr, $width, value)
                     .map_err(|cause| SimError::Mem { pc, cause })?;
-                entry.kind = OpKind::Store;
-                entry.srcs = [Self::src($base), Self::src($rs2)];
+                kind = OpKind::Store;
+                srcs = [Self::src($base), Self::src($rs2)];
                 let stored = if $width == 8 {
                     value
                 } else {
                     value & ((1u64 << ($width * 8)) - 1)
                 };
-                entry.mem = Some(MemAccess {
+                mem = Some(MemAccess {
                     addr,
                     width: $width,
                     value: stored,
@@ -379,9 +383,9 @@ impl<'a> Machine<'a> {
                 if taken {
                     next_pc = target;
                 }
-                entry.kind = OpKind::CondBranch;
-                entry.srcs = [Self::src($rs1), Self::src($rs2)];
-                entry.branch = Some(BranchEvent { taken, target });
+                kind = OpKind::CondBranch;
+                srcs = [Self::src($rs1), Self::src($rs2)];
+                branch = Some(BranchEvent { taken, target });
             }};
         }
 
@@ -509,7 +513,7 @@ impl<'a> Machine<'a> {
             }
             Lui { rd, imm } => {
                 self.set_reg(rd, ((imm as i64) << 12) as u64);
-                entry.dst = Self::dst(rd);
+                dst = Self::dst(rd);
             }
             Lb { rd, base, offset } => {
                 load!(rd, base, offset, 1, |raw: u64| raw as u8 as i8 as i64
@@ -534,10 +538,10 @@ impl<'a> Machine<'a> {
                     .load(addr, 8)
                     .map_err(|cause| SimError::Mem { pc, cause })?;
                 self.fregs[fd.number() as usize] = f64::from_bits(raw);
-                entry.kind = OpKind::Load;
-                entry.dst = Some(RegRef::fp(fd.number()));
-                entry.srcs = [Self::src(base), None];
-                entry.mem = Some(MemAccess {
+                kind = OpKind::Load;
+                dst = Some(RegRef::fp(fd.number()));
+                srcs = [Self::src(base), None];
+                mem = Some(MemAccess {
                     addr,
                     width: 8,
                     value: raw,
@@ -554,9 +558,9 @@ impl<'a> Machine<'a> {
                 self.mem
                     .store(addr, 8, bits)
                     .map_err(|cause| SimError::Mem { pc, cause })?;
-                entry.kind = OpKind::Store;
-                entry.srcs = [Self::src(base), Some(RegRef::fp(fs2.number()))];
-                entry.mem = Some(MemAccess {
+                kind = OpKind::Store;
+                srcs = [Self::src(base), Some(RegRef::fp(fs2.number()))];
+                mem = Some(MemAccess {
                     addr,
                     width: 8,
                     value: bits,
@@ -576,23 +580,23 @@ impl<'a> Machine<'a> {
             FsqrtD { fd, fs1 } => {
                 let a = self.fregs[fs1.number() as usize];
                 self.fregs[fd.number() as usize] = a.sqrt();
-                entry.kind = OpKind::FpComplex;
-                entry.dst = Some(RegRef::fp(fd.number()));
-                entry.srcs = [Some(RegRef::fp(fs1.number())), None];
+                kind = OpKind::FpComplex;
+                dst = Some(RegRef::fp(fd.number()));
+                srcs = [Some(RegRef::fp(fs1.number())), None];
             }
             FnegD { fd, fs1 } => {
                 let a = self.fregs[fs1.number() as usize];
                 self.fregs[fd.number() as usize] = -a;
-                entry.kind = OpKind::FpSimple;
-                entry.dst = Some(RegRef::fp(fd.number()));
-                entry.srcs = [Some(RegRef::fp(fs1.number())), None];
+                kind = OpKind::FpSimple;
+                dst = Some(RegRef::fp(fd.number()));
+                srcs = [Some(RegRef::fp(fs1.number())), None];
             }
             FabsD { fd, fs1 } => {
                 let a = self.fregs[fs1.number() as usize];
                 self.fregs[fd.number() as usize] = a.abs();
-                entry.kind = OpKind::FpSimple;
-                entry.dst = Some(RegRef::fp(fd.number()));
-                entry.srcs = [Some(RegRef::fp(fs1.number())), None];
+                kind = OpKind::FpSimple;
+                dst = Some(RegRef::fp(fd.number()));
+                srcs = [Some(RegRef::fp(fs1.number())), None];
             }
             FeqD { rd, fs1, fs2 } | FltD { rd, fs1, fs2 } | FleD { rd, fs1, fs2 } => {
                 let a = self.fregs[fs1.number() as usize];
@@ -603,9 +607,9 @@ impl<'a> Machine<'a> {
                     _ => a <= b,
                 };
                 self.set_reg(rd, v as u64);
-                entry.kind = OpKind::FpSimple;
-                entry.dst = Self::dst(rd);
-                entry.srcs = [
+                kind = OpKind::FpSimple;
+                dst = Self::dst(rd);
+                srcs = [
                     Some(RegRef::fp(fs1.number())),
                     Some(RegRef::fp(fs2.number())),
                 ];
@@ -613,28 +617,28 @@ impl<'a> Machine<'a> {
             FcvtDL { fd, rs1 } => {
                 let a = self.reg(rs1) as i64;
                 self.fregs[fd.number() as usize] = a as f64;
-                entry.kind = OpKind::FpSimple;
-                entry.dst = Some(RegRef::fp(fd.number()));
-                entry.srcs = [Self::src(rs1), None];
+                kind = OpKind::FpSimple;
+                dst = Some(RegRef::fp(fd.number()));
+                srcs = [Self::src(rs1), None];
             }
             FcvtLD { rd, fs1 } => {
                 let a = self.fregs[fs1.number() as usize];
                 self.set_reg(rd, (a as i64) as u64);
-                entry.kind = OpKind::FpSimple;
-                entry.dst = Self::dst(rd);
-                entry.srcs = [Some(RegRef::fp(fs1.number())), None];
+                kind = OpKind::FpSimple;
+                dst = Self::dst(rd);
+                srcs = [Some(RegRef::fp(fs1.number())), None];
             }
             FmvXD { rd, fs1 } => {
                 self.set_reg(rd, self.fregs[fs1.number() as usize].to_bits());
-                entry.kind = OpKind::FpSimple;
-                entry.dst = Self::dst(rd);
-                entry.srcs = [Some(RegRef::fp(fs1.number())), None];
+                kind = OpKind::FpSimple;
+                dst = Self::dst(rd);
+                srcs = [Some(RegRef::fp(fs1.number())), None];
             }
             FmvDX { fd, rs1 } => {
                 self.fregs[fd.number() as usize] = f64::from_bits(self.reg(rs1));
-                entry.kind = OpKind::FpSimple;
-                entry.dst = Some(RegRef::fp(fd.number()));
-                entry.srcs = [Self::src(rs1), None];
+                kind = OpKind::FpSimple;
+                dst = Some(RegRef::fp(fd.number()));
+                srcs = [Self::src(rs1), None];
             }
             Beq { rs1, rs2, offset } => branch!(rs1, rs2, offset, |a, b| a == b),
             Bne { rs1, rs2, offset } => branch!(rs1, rs2, offset, |a, b| a != b),
@@ -650,9 +654,9 @@ impl<'a> Machine<'a> {
                 self.set_reg(rd, next_pc);
                 let target = pc.wrapping_add(offset as i64 as u64);
                 next_pc = target;
-                entry.kind = OpKind::Jump;
-                entry.dst = Self::dst(rd);
-                entry.branch = Some(BranchEvent {
+                kind = OpKind::Jump;
+                dst = Self::dst(rd);
+                branch = Some(BranchEvent {
                     taken: true,
                     target,
                 });
@@ -661,36 +665,40 @@ impl<'a> Machine<'a> {
                 let target = self.reg(rs1).wrapping_add(offset as i64 as u64) & !1;
                 self.set_reg(rd, next_pc);
                 next_pc = target;
-                entry.kind = OpKind::IndirectJump;
-                entry.dst = Self::dst(rd);
-                entry.srcs = [Self::src(rs1), None];
-                entry.branch = Some(BranchEvent {
+                kind = OpKind::IndirectJump;
+                dst = Self::dst(rd);
+                srcs = [Self::src(rs1), None];
+                branch = Some(BranchEvent {
                     taken: true,
                     target,
                 });
             }
             Out { rs1 } => {
                 self.output.push(self.reg(rs1));
-                entry.kind = OpKind::System;
-                entry.srcs = [Self::src(rs1), None];
+                kind = OpKind::System;
+                srcs = [Self::src(rs1), None];
             }
             OutF { fs1 } => {
                 self.output
                     .push(self.fregs[fs1.number() as usize].to_bits());
-                entry.kind = OpKind::System;
-                entry.srcs = [Some(RegRef::fp(fs1.number())), None];
+                kind = OpKind::System;
+                srcs = [Some(RegRef::fp(fs1.number())), None];
             }
             Halt => {
                 self.halted = true;
-                entry.kind = OpKind::System;
+                kind = OpKind::System;
             }
             Nop => {
-                entry.kind = OpKind::System;
+                kind = OpKind::System;
             }
         }
 
         self.pc = next_pc;
-        Ok(entry)
+        Ok(match (mem, branch) {
+            (Some(access), _) => TraceEntry::mem_op(pc, kind, dst, srcs, access),
+            (None, Some(event)) => TraceEntry::control(pc, kind, dst, srcs, event),
+            (None, None) => TraceEntry::op(pc, kind, dst, srcs),
+        })
     }
 }
 
@@ -859,7 +867,7 @@ main:
         let mut m = Machine::new(&program);
         let trace = m.run_traced(100).unwrap();
         let load = trace.iter().find(|e| e.is_load()).unwrap();
-        let mem = load.mem.unwrap();
+        let mem = load.mem().unwrap();
         assert_eq!(
             mem.value,
             u64::MAX,
@@ -875,10 +883,13 @@ main:
             .unwrap();
         let mut m = Machine::new(&program);
         let trace = m.run_traced(100).unwrap();
-        let br = trace.iter().find(|e| e.kind == OpKind::CondBranch).unwrap();
-        let ev = br.branch.unwrap();
+        let br = trace
+            .iter()
+            .find(|e| e.kind() == OpKind::CondBranch)
+            .unwrap();
+        let ev = br.branch().unwrap();
         assert!(!ev.taken);
-        assert_eq!(ev.target, br.pc + 4);
+        assert_eq!(ev.target, br.pc() + 4);
     }
 
     #[test]

@@ -23,6 +23,11 @@
 //!          branch: target u64                    if present
 //! ```
 //!
+//! The kind decides the payload: the mem flag is set exactly on loads
+//! and stores and the branch flag exactly on control transfers. A record
+//! that breaks this rule is [`TraceIoError::Corrupt`] in either version,
+//! since no [`TraceEntry`] can hold it.
+//!
 //! Every v2 block's CRC-32 covers its record bytes, so a flipped bit
 //! anywhere in the payload surfaces as
 //! [`TraceIoError::ChecksumMismatch`] instead of silently corrupting an
@@ -172,7 +177,9 @@ fn reg_from_u8(b: u8) -> RegRef {
 
 /// Exact encoded byte length of one record.
 pub(crate) fn encoded_len(e: &TraceEntry) -> u64 {
-    MIN_ENTRY_BYTES + if e.mem.is_some() { 17 } else { 0 } + if e.branch.is_some() { 8 } else { 0 }
+    MIN_ENTRY_BYTES
+        + if e.kind().is_mem() { 17 } else { 0 }
+        + if e.kind().is_control() { 8 } else { 0 }
 }
 
 /// Encodes one record into the front of `rec` and returns its length
@@ -184,42 +191,44 @@ pub(crate) fn encoded_len(e: &TraceEntry) -> u64 {
 /// field.
 #[inline]
 fn encode_record(rec: &mut [u8; MAX_ENTRY_BYTES as usize], e: &TraceEntry) -> usize {
+    let [src0, src1] = e.srcs();
+    let (mem, branch) = (e.mem(), e.branch());
     let mut flags = 0u8;
-    if e.dst.is_some() {
+    if e.dst().is_some() {
         flags |= 1;
     }
-    if e.srcs[0].is_some() {
+    if src0.is_some() {
         flags |= 2;
     }
-    if e.srcs[1].is_some() {
+    if src1.is_some() {
         flags |= 4;
     }
-    if e.mem.is_some() {
+    if mem.is_some() {
         flags |= 8;
     }
-    if e.branch.is_some() {
+    if branch.is_some() {
         flags |= 16;
     }
-    if e.mem.is_some_and(|m| m.fp) {
+    if mem.is_some_and(|m| m.fp) {
         flags |= 32;
     }
-    if e.branch.is_some_and(|b| b.taken) {
+    if branch.is_some_and(|b| b.taken) {
         flags |= 64;
     }
-    rec[0..8].copy_from_slice(&e.pc.to_le_bytes());
-    rec[8] = kind_to_u8(e.kind);
+    rec[0..8].copy_from_slice(&e.pc().to_le_bytes());
+    rec[8] = kind_to_u8(e.kind());
     rec[9] = flags;
-    rec[10] = e.dst.map_or(0, reg_to_u8);
-    rec[11] = e.srcs[0].map_or(0, reg_to_u8);
-    rec[12] = e.srcs[1].map_or(0, reg_to_u8);
+    rec[10] = e.dst().map_or(0, reg_to_u8);
+    rec[11] = src0.map_or(0, reg_to_u8);
+    rec[12] = src1.map_or(0, reg_to_u8);
     let mut len = MIN_ENTRY_BYTES as usize;
-    if let Some(m) = e.mem {
+    if let Some(m) = mem {
         rec[len..len + 8].copy_from_slice(&m.addr.to_le_bytes());
         rec[len + 8] = m.width;
         rec[len + 9..len + 17].copy_from_slice(&m.value.to_le_bytes());
         len += 17;
     }
-    if let Some(b) = e.branch {
+    if let Some(b) = branch {
         rec[len..len + 8].copy_from_slice(&b.target.to_le_bytes());
         len += 8;
     }
@@ -267,7 +276,9 @@ fn le_u64(bytes: &[u8], at: usize) -> u64 {
 /// (checked before the value that follows it), and otherwise a record
 /// that needs more bytes than the block has left, which is
 /// `Corrupt("record overruns block")` — the block passed its CRC, so a
-/// short record is structural corruption, not truncation.
+/// short record is structural corruption, not truncation. A record
+/// whose memory or branch flag disagrees with its kind is
+/// `Corrupt` too: the kind decides the payload.
 pub(crate) fn decode_record(bytes: &[u8]) -> Result<(TraceEntry, usize), TraceIoError> {
     const OVERRUN: TraceIoError = TraceIoError::Corrupt("record overruns block");
     let head = MIN_ENTRY_BYTES as usize;
@@ -312,17 +323,18 @@ pub(crate) fn decode_record(bytes: &[u8]) -> Result<(TraceEntry, usize), TraceIo
     } else {
         None
     };
-    let entry = TraceEntry {
-        pc: le_u64(bytes, 0),
+    let entry = TraceEntry::from_parts(
+        le_u64(bytes, 0),
         kind,
-        dst: (flags & 1 != 0).then(|| reg_from_u8(bytes[10])),
-        srcs: [
+        (flags & 1 != 0).then(|| reg_from_u8(bytes[10])),
+        [
             (flags & 2 != 0).then(|| reg_from_u8(bytes[11])),
             (flags & 4 != 0).then(|| reg_from_u8(bytes[12])),
         ],
         mem,
         branch,
-    };
+    )
+    .map_err(TraceIoError::Corrupt)?;
     Ok((entry, len))
 }
 
@@ -367,14 +379,7 @@ pub(crate) fn decode_entry<R: Read>(reader: &mut R) -> Result<TraceEntry, TraceI
     } else {
         None
     };
-    Ok(TraceEntry {
-        pc,
-        kind,
-        dst,
-        srcs: [src0, src1],
-        mem,
-        branch,
-    })
+    TraceEntry::from_parts(pc, kind, dst, [src0, src1], mem, branch).map_err(TraceIoError::Corrupt)
 }
 
 /// Writes a trace in the current **LVPT v2** block format. A `&mut`
@@ -471,43 +476,40 @@ mod tests {
     pub(crate) fn sample_trace() -> Trace {
         let mut t = Trace::new();
         t.push(TraceEntry::simple(0x10000, OpKind::IntSimple));
-        t.push(TraceEntry {
-            pc: 0x10004,
-            kind: OpKind::Load,
-            dst: Some(RegRef::int(10)),
-            srcs: [Some(RegRef::int(2)), None],
-            mem: Some(MemAccess {
+        t.push(TraceEntry::mem_op(
+            0x10004,
+            OpKind::Load,
+            Some(RegRef::int(10)),
+            [Some(RegRef::int(2)), None],
+            MemAccess {
                 addr: 0x10_0008,
                 width: 8,
                 value: u64::MAX,
                 fp: false,
-            }),
-            branch: None,
-        });
-        t.push(TraceEntry {
-            pc: 0x10008,
-            kind: OpKind::Store,
-            dst: None,
-            srcs: [Some(RegRef::int(2)), Some(RegRef::fp(4))],
-            mem: Some(MemAccess {
+            },
+        ));
+        t.push(TraceEntry::mem_op(
+            0x10008,
+            OpKind::Store,
+            None,
+            [Some(RegRef::int(2)), Some(RegRef::fp(4))],
+            MemAccess {
                 addr: 0x10_0010,
                 width: 8,
                 value: 42,
                 fp: true,
-            }),
-            branch: None,
-        });
-        t.push(TraceEntry {
-            pc: 0x1000c,
-            kind: OpKind::CondBranch,
-            dst: None,
-            srcs: [Some(RegRef::int(5)), Some(RegRef::int(6))],
-            mem: None,
-            branch: Some(BranchEvent {
+            },
+        ));
+        t.push(TraceEntry::control(
+            0x1000c,
+            OpKind::CondBranch,
+            None,
+            [Some(RegRef::int(5)), Some(RegRef::int(6))],
+            BranchEvent {
                 taken: true,
                 target: 0x10000,
-            }),
-        });
+            },
+        ));
         t
     }
 

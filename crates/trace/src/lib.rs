@@ -101,7 +101,7 @@ impl TraceStats {
     #[inline]
     pub fn record(&mut self, entry: &TraceEntry) {
         self.instructions += 1;
-        match entry.kind {
+        match entry.kind() {
             OpKind::Load => self.loads += 1,
             OpKind::Store => self.stores += 1,
             OpKind::CondBranch => self.cond_branches += 1,
@@ -259,14 +259,18 @@ mod tests {
     use super::*;
 
     fn load_entry(pc: u64) -> TraceEntry {
-        let mut e = TraceEntry::simple(pc, OpKind::Load);
-        e.mem = Some(MemAccess {
-            addr: 0x10_0000,
-            width: 8,
-            value: 5,
-            fp: false,
-        });
-        e
+        TraceEntry::mem_op(
+            pc,
+            OpKind::Load,
+            None,
+            [None, None],
+            MemAccess {
+                addr: 0x10_0000,
+                width: 8,
+                value: 5,
+                fp: false,
+            },
+        )
     }
 
     #[test]

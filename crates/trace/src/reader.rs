@@ -36,7 +36,7 @@ use std::io::Read;
 ///
 /// let reader = TraceReader::new(buf.as_slice())?;
 /// assert_eq!(reader.declared_entries(), 5);
-/// let pcs: Vec<u64> = reader.map(|e| Ok::<_, lvp_trace::TraceIoError>(e?.pc))
+/// let pcs: Vec<u64> = reader.map(|e| Ok::<_, lvp_trace::TraceIoError>(e?.pc()))
 ///     .collect::<Result<_, _>>()?;
 /// assert_eq!(pcs, [0x1000, 0x1004, 0x1008, 0x100c, 0x1010]);
 /// # Ok::<(), lvp_trace::TraceIoError>(())
@@ -360,14 +360,18 @@ mod tests {
     fn big_trace(n: u64) -> Trace {
         (0..n)
             .map(|i| {
-                let mut e = TraceEntry::simple(0x10000 + 4 * i, OpKind::Load);
-                e.mem = Some(crate::MemAccess {
-                    addr: 0x20_0000 + 8 * i,
-                    width: 8,
-                    value: i.wrapping_mul(0x9e37),
-                    fp: false,
-                });
-                e
+                TraceEntry::mem_op(
+                    0x10000 + 4 * i,
+                    OpKind::Load,
+                    None,
+                    [None, None],
+                    crate::MemAccess {
+                        addr: 0x20_0000 + 8 * i,
+                        width: 8,
+                        value: i.wrapping_mul(0x9e37),
+                        fp: false,
+                    },
+                )
             })
             .collect()
     }
@@ -384,7 +388,7 @@ mod tests {
         let mut count = 0u64;
         for (i, e) in reader.by_ref().enumerate() {
             let e = e.unwrap();
-            assert_eq!(e.pc, 0x10000 + 4 * i as u64);
+            assert_eq!(e.pc(), 0x10000 + 4 * i as u64);
             count += 1;
         }
         assert_eq!(count, n);

@@ -140,20 +140,20 @@ pub fn dump_text(trace: &Trace) -> String {
         let _ = write!(
             out,
             "{:#x} {} {} {},{}",
-            e.pc,
-            kind_name(e.kind),
-            reg_str(e.dst),
-            reg_str(e.srcs[0]),
-            reg_str(e.srcs[1])
+            e.pc(),
+            kind_name(e.kind()),
+            reg_str(e.dst()),
+            reg_str(e.srcs()[0]),
+            reg_str(e.srcs()[1])
         );
-        match e.mem {
+        match e.mem() {
             Some(m) => {
                 let fp = if m.fp { "f" } else { "" };
                 let _ = write!(out, " m{fp}:{:#x}/{}={:#x}", m.addr, m.width, m.value);
             }
             None => out.push_str(" -"),
         }
-        match e.branch {
+        match e.branch() {
             Some(b) => {
                 let t = if b.taken { "taken" } else { "not" };
                 let _ = write!(out, " b:{t}@{:#x}", b.target);
@@ -246,14 +246,9 @@ pub fn parse_text(text: &str) -> Result<Trace, ParseTraceError> {
                 target: parse_u64(target, line_no)?,
             })
         };
-        trace.push(TraceEntry {
-            pc,
-            kind,
-            dst,
-            srcs,
-            mem,
-            branch,
-        });
+        let entry = TraceEntry::from_parts(pc, kind, dst, srcs, mem, branch)
+            .map_err(|why| ParseTraceError::new(line_no, why))?;
+        trace.push(entry);
     }
     Ok(trace)
 }
@@ -265,43 +260,40 @@ mod tests {
     fn sample() -> Trace {
         let mut t = Trace::new();
         t.push(TraceEntry::simple(0x10000, OpKind::IntSimple));
-        t.push(TraceEntry {
-            pc: 0x10004,
-            kind: OpKind::Load,
-            dst: Some(RegRef::int(10)),
-            srcs: [Some(RegRef::int(2)), None],
-            mem: Some(MemAccess {
+        t.push(TraceEntry::mem_op(
+            0x10004,
+            OpKind::Load,
+            Some(RegRef::int(10)),
+            [Some(RegRef::int(2)), None],
+            MemAccess {
                 addr: 0x10_0000,
                 width: 8,
                 value: 42,
                 fp: false,
-            }),
-            branch: None,
-        });
-        t.push(TraceEntry {
-            pc: 0x10008,
-            kind: OpKind::Store,
-            dst: None,
-            srcs: [Some(RegRef::int(2)), Some(RegRef::fp(3))],
-            mem: Some(MemAccess {
+            },
+        ));
+        t.push(TraceEntry::mem_op(
+            0x10008,
+            OpKind::Store,
+            None,
+            [Some(RegRef::int(2)), Some(RegRef::fp(3))],
+            MemAccess {
                 addr: 0x10_0008,
                 width: 8,
                 value: 7,
                 fp: true,
-            }),
-            branch: None,
-        });
-        t.push(TraceEntry {
-            pc: 0x1000c,
-            kind: OpKind::CondBranch,
-            dst: None,
-            srcs: [Some(RegRef::int(10)), None],
-            mem: None,
-            branch: Some(BranchEvent {
+            },
+        ));
+        t.push(TraceEntry::control(
+            0x1000c,
+            OpKind::CondBranch,
+            None,
+            [Some(RegRef::int(10)), None],
+            BranchEvent {
                 taken: false,
                 target: 0x10010,
-            }),
-        });
+            },
+        ));
         t
     }
 
@@ -319,7 +311,7 @@ mod tests {
         let text = "# header\n\n0x10 int _ _,_ - -  # trailing\n";
         let t = parse_text(text).unwrap();
         assert_eq!(t.len(), 1);
-        assert_eq!(t.entries()[0].pc, 0x10);
+        assert_eq!(t.entries()[0].pc(), 0x10);
     }
 
     #[test]
@@ -337,6 +329,17 @@ mod tests {
             parse_text("0x10 int x99 _,_ - -").is_err(),
             "register range"
         );
+        for line in [
+            "0x10 load x1 _,_ - -",
+            "0x10 int _ _,_ - b:taken@0x20",
+            "0x10 jump _ _,_ m:0x8/8=0x1 b:taken@0x20",
+        ] {
+            let err = parse_text(line).unwrap_err();
+            assert!(
+                err.to_string().contains("payload disagrees"),
+                "{line}: {err}"
+            );
+        }
     }
 
     #[test]

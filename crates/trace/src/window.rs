@@ -114,14 +114,18 @@ mod tests {
         (0..n)
             .map(|i| {
                 if i % 3 == 0 {
-                    let mut e = TraceEntry::simple(0x1000 + 4 * i as u64, OpKind::Load);
-                    e.mem = Some(MemAccess {
-                        addr: 0x10_0000 + 8 * (i as u64 % 8),
-                        width: 8,
-                        value: i as u64,
-                        fp: false,
-                    });
-                    e
+                    TraceEntry::mem_op(
+                        0x1000 + 4 * i as u64,
+                        OpKind::Load,
+                        None,
+                        [None, None],
+                        MemAccess {
+                            addr: 0x10_0000 + 8 * (i as u64 % 8),
+                            width: 8,
+                            value: i as u64,
+                            fp: false,
+                        },
+                    )
                 } else {
                     TraceEntry::simple(0x1000 + 4 * i as u64, OpKind::IntSimple)
                 }

@@ -17,30 +17,28 @@ fn sample_trace() -> Trace {
     let mut t = Trace::new();
     for i in 0..32u64 {
         t.push(TraceEntry::simple(0x10000 + 4 * i, OpKind::IntSimple));
-        t.push(TraceEntry {
-            pc: 0x20000 + 4 * i,
-            kind: OpKind::Load,
-            dst: Some(RegRef::int(10)),
-            srcs: [Some(RegRef::int(2)), None],
-            mem: Some(MemAccess {
+        t.push(TraceEntry::mem_op(
+            0x20000 + 4 * i,
+            OpKind::Load,
+            Some(RegRef::int(10)),
+            [Some(RegRef::int(2)), None],
+            MemAccess {
                 addr: 0x10_0000 + 8 * i,
                 width: 8,
                 value: i.wrapping_mul(0x9e3779b9),
                 fp: false,
-            }),
-            branch: None,
-        });
-        t.push(TraceEntry {
-            pc: 0x30000 + 4 * i,
-            kind: OpKind::CondBranch,
-            dst: None,
-            srcs: [Some(RegRef::int(5)), Some(RegRef::int(6))],
-            mem: None,
-            branch: Some(BranchEvent {
+            },
+        ));
+        t.push(TraceEntry::control(
+            0x30000 + 4 * i,
+            OpKind::CondBranch,
+            None,
+            [Some(RegRef::int(5)), Some(RegRef::int(6))],
+            BranchEvent {
                 taken: i % 2 == 0,
                 target: 0x10000,
-            }),
-        });
+            },
+        ));
     }
     t
 }

@@ -70,24 +70,31 @@ fn random_reg(r: &mut Lcg) -> Option<RegRef> {
     }
 }
 
-/// An arbitrary well-formed entry: any pc, kind, operand set, memory
-/// access (full-width address and value, every legal width) and branch.
+/// An arbitrary well-formed entry: any pc, kind, operand set, and the
+/// payload its kind carries — a memory access (full-width address and
+/// value, every legal width) for loads and stores, a branch event for
+/// control transfers.
 fn random_entry(r: &mut Lcg) -> TraceEntry {
-    TraceEntry {
-        pc: r.next_full(),
-        kind: *r.pick(&OpKind::ALL),
-        dst: random_reg(r),
-        srcs: [random_reg(r), random_reg(r)],
-        mem: r.chance(1, 2).then(|| MemAccess {
+    let pc = r.next_full();
+    let kind = *r.pick(&OpKind::ALL);
+    let dst = random_reg(r);
+    let srcs = [random_reg(r), random_reg(r)];
+    if kind.is_mem() {
+        let access = MemAccess {
             addr: r.next_full(),
             width: *r.pick(&[1u8, 2, 4, 8]),
             value: r.next_full(),
             fp: r.chance(1, 2),
-        }),
-        branch: r.chance(1, 2).then(|| BranchEvent {
+        };
+        TraceEntry::mem_op(pc, kind, dst, srcs, access)
+    } else if kind.is_control() {
+        let event = BranchEvent {
             taken: r.chance(1, 2),
             target: r.next_full(),
-        }),
+        };
+        TraceEntry::control(pc, kind, dst, srcs, event)
+    } else {
+        TraceEntry::op(pc, kind, dst, srcs)
     }
 }
 
@@ -228,7 +235,7 @@ struct Rec {
 const BLOCK_ENTRIES: usize = 4096;
 
 fn record_len(e: &TraceEntry) -> usize {
-    13 + if e.mem.is_some() { 17 } else { 0 } + if e.branch.is_some() { 8 } else { 0 }
+    13 + if e.mem().is_some() { 17 } else { 0 } + if e.branch().is_some() { 8 } else { 0 }
 }
 
 /// Corrupting any byte inside a record and then re-sealing its block

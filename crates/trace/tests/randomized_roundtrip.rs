@@ -3,16 +3,20 @@
 //! build rule), plus the v1 → v2 compatibility test against a committed
 //! fixture.
 //!
-//! The generator first enumerates *every* combination of `OpKind` ×
-//! operand presence × memory variant (none / int / fp) × branch variant
-//! (none / not-taken / taken), then pads to ~1k entries with
-//! LCG-generated random records, so all encoder flag paths are covered
-//! deterministically on every run.
+//! The generator enumerates *every* combination of `OpKind` × operand
+//! presence × memory variant (none / int / fp) × branch variant (none /
+//! not-taken / taken). The kind decides the payload, so the consistent
+//! combinations (a memory access exactly on loads and stores, a branch
+//! event exactly on control transfers) form the round-trip trace, padded
+//! to ~1k entries with LCG-generated random records, so all encoder flag
+//! paths are covered deterministically on every run. Every inconsistent
+//! combination is hand-encoded on the wire and must decode to a typed
+//! error in both format versions.
 
 use lvp_trace::rng::Lcg;
 use lvp_trace::{
-    read_trace, write_trace, write_trace_v1, BranchEvent, MemAccess, OpKind, RegRef, Trace,
-    TraceEntry, TraceReader,
+    crc32, read_trace, write_trace, write_trace_v1, BranchEvent, MemAccess, OpKind, RegClass,
+    RegRef, Trace, TraceEntry, TraceIoError, TraceReader,
 };
 use std::path::PathBuf;
 
@@ -59,10 +63,77 @@ fn branch(variant: u64, target: u64) -> Option<BranchEvent> {
     }
 }
 
+/// One combination of the exhaustive matrix, in raw parts.
+struct Parts {
+    pc: u64,
+    kind: OpKind,
+    dst: Option<RegRef>,
+    srcs: [Option<RegRef>; 2],
+    mem: Option<MemAccess>,
+    branch: Option<BranchEvent>,
+}
+
+impl Parts {
+    /// Whether the payload matches the kind.
+    fn consistent(&self) -> bool {
+        self.mem.is_some() == self.kind.is_mem() && self.branch.is_some() == self.kind.is_control()
+    }
+
+    /// The entry these parts describe; `None` if they are inconsistent.
+    fn entry(&self) -> Option<TraceEntry> {
+        let Parts {
+            pc,
+            kind,
+            dst,
+            srcs,
+            mem,
+            branch,
+        } = *self;
+        match (mem, branch) {
+            _ if !self.consistent() => None,
+            (Some(m), _) => Some(TraceEntry::mem_op(pc, kind, dst, srcs, m)),
+            (_, Some(b)) => Some(TraceEntry::control(pc, kind, dst, srcs, b)),
+            (None, None) => Some(TraceEntry::op(pc, kind, dst, srcs)),
+        }
+    }
+
+    /// The record's wire bytes, hand-encoded from the layout documented
+    /// in `io.rs`, so inconsistent parts can be written too.
+    fn wire(&self) -> Vec<u8> {
+        let reg =
+            |r: Option<RegRef>| r.map_or(0, |r| u8::from(r.class == RegClass::Fp) << 5 | r.num);
+        let flags = u8::from(self.dst.is_some())
+            | u8::from(self.srcs[0].is_some()) << 1
+            | u8::from(self.srcs[1].is_some()) << 2
+            | u8::from(self.mem.is_some()) << 3
+            | u8::from(self.branch.is_some()) << 4
+            | u8::from(self.mem.is_some_and(|m| m.fp)) << 5
+            | u8::from(self.branch.is_some_and(|b| b.taken)) << 6;
+        let kind = OpKind::ALL.iter().position(|&k| k == self.kind).unwrap() as u8;
+        let mut rec = self.pc.to_le_bytes().to_vec();
+        rec.extend([
+            kind,
+            flags,
+            reg(self.dst),
+            reg(self.srcs[0]),
+            reg(self.srcs[1]),
+        ]);
+        if let Some(m) = self.mem {
+            rec.extend(m.addr.to_le_bytes());
+            rec.push(m.width);
+            rec.extend(m.value.to_le_bytes());
+        }
+        if let Some(b) = self.branch {
+            rec.extend(b.target.to_le_bytes());
+        }
+        rec
+    }
+}
+
 /// Every (kind, dst, src0, src1, mem-variant, branch-variant)
-/// combination once, then random entries up to ~1k total.
-fn generated_trace() -> Trace {
-    let mut t = Trace::new();
+/// combination once.
+fn combinations() -> Vec<Parts> {
+    let mut all = Vec::new();
     let mut pc = 0x1_0000u64;
     for (ki, &kind) in OpKind::ALL.iter().enumerate() {
         for dst in 0..2 {
@@ -70,7 +141,7 @@ fn generated_trace() -> Trace {
                 for src1 in 0..2 {
                     for mv in 0..3 {
                         for bv in 0..3 {
-                            t.push(TraceEntry {
+                            all.push(Parts {
                                 pc,
                                 kind,
                                 dst: reg(dst * (1 + (ki as u64 % 2)), ki as u8),
@@ -88,13 +159,27 @@ fn generated_trace() -> Trace {
             }
         }
     }
-    let exhaustive = t.len();
-    assert_eq!(exhaustive, 10 * 2 * 2 * 2 * 3 * 3, "combination count");
+    assert_eq!(all.len(), 10 * 2 * 2 * 2 * 3 * 3, "combination count");
+    all
+}
+
+/// Every consistent combination once, then random entries up to ~1k
+/// total.
+fn generated_trace() -> Trace {
+    let mut t: Trace = combinations().iter().filter_map(Parts::entry).collect();
+    // Loads and stores (2 kinds) pair with two memory variants, control
+    // transfers (3 kinds) with two branch variants, the other five kinds
+    // with neither; each × 8 operand sets.
+    assert_eq!(
+        t.len(),
+        (2 * 2 + 3 * 2 + 5) * 8,
+        "consistent combination count"
+    );
 
     let mut rng = Lcg::new(SEED);
     while t.len() < 1024 {
         let kind = OpKind::ALL[rng.below(OpKind::ALL.len() as u64) as usize];
-        t.push(TraceEntry {
+        let parts = Parts {
             pc: rng.next_full(),
             kind,
             dst: reg(rng.below(3), rng.next_full() as u8),
@@ -103,15 +188,81 @@ fn generated_trace() -> Trace {
                 reg(rng.below(3), rng.next_full() as u8),
             ],
             mem: mem(
-                rng.below(3),
+                if kind.is_mem() { 1 + rng.below(2) } else { 0 },
                 rng.next_full(),
                 rng.next_full(),
                 rng.next_full(),
             ),
-            branch: branch(rng.below(3), rng.next_full()),
-        });
+            branch: branch(
+                if kind.is_control() {
+                    1 + rng.below(2)
+                } else {
+                    0
+                },
+                rng.next_full(),
+            ),
+        };
+        t.push(parts.entry().expect("payload chosen by kind"));
     }
     t
+}
+
+/// The hand encoder agrees with the writer on every consistent
+/// combination, so the bytes the next test feeds the decoders are the
+/// ones the format defines.
+#[test]
+fn hand_encoding_matches_the_writer() {
+    for parts in combinations().iter().filter(|p| p.consistent()) {
+        let mut buf = Vec::new();
+        write_trace_v1(&mut buf, &std::iter::once(parts.entry().unwrap()).collect()).unwrap();
+        assert_eq!(buf[16..], parts.wire()[..], "{:?}", parts.entry());
+    }
+}
+
+/// A record whose memory or branch payload disagrees with its kind is a
+/// typed `Corrupt` error from both readers, in both format versions —
+/// the v2 block resealed with a valid CRC, so the record decoder itself
+/// must catch it.
+#[test]
+fn inconsistent_combinations_are_typed_errors() {
+    let mut checked = 0;
+    for parts in combinations().iter().filter(|p| !p.consistent()) {
+        let rec = parts.wire();
+        let mut v1 = b"LVPT".to_vec();
+        v1.extend(1u16.to_le_bytes());
+        v1.extend(0u16.to_le_bytes());
+        v1.extend(1u64.to_le_bytes());
+        v1.extend(&rec);
+
+        let mut v2 = b"LVPT".to_vec();
+        v2.extend(2u16.to_le_bytes());
+        v2.extend(0u16.to_le_bytes());
+        v2.extend(1u64.to_le_bytes());
+        v2.extend((12 + rec.len() as u64).to_le_bytes());
+        v2.extend(1u32.to_le_bytes());
+        v2.extend((rec.len() as u32).to_le_bytes());
+        v2.extend(crc32(&rec).to_le_bytes());
+        v2.extend(&rec);
+
+        for bytes in [v1, v2] {
+            let materialized = read_trace(bytes.as_slice()).unwrap_err();
+            let streamed = TraceReader::new(bytes.as_slice())
+                .unwrap()
+                .collect::<Result<Trace, _>>()
+                .unwrap_err();
+            for err in [materialized, streamed] {
+                assert!(
+                    matches!(err, TraceIoError::Corrupt(_)),
+                    "{:?} with mem {:?}, branch {:?}: {err:?}",
+                    parts.kind,
+                    parts.mem,
+                    parts.branch
+                );
+            }
+        }
+        checked += 1;
+    }
+    assert_eq!(checked, 10 * 2 * 2 * 2 * 3 * 3 - (2 * 2 + 3 * 2 + 5) * 8);
 }
 
 #[test]
@@ -177,59 +328,47 @@ fn fixture_path() -> PathBuf {
 fn fixture_trace() -> Trace {
     let mut t = Trace::new();
     t.push(TraceEntry::simple(0x10000, OpKind::IntSimple));
-    t.push(TraceEntry {
-        pc: 0x10004,
-        kind: OpKind::Load,
-        dst: Some(RegRef::int(10)),
-        srcs: [Some(RegRef::int(2)), None],
-        mem: Some(MemAccess {
+    t.push(TraceEntry::mem_op(
+        0x10004,
+        OpKind::Load,
+        Some(RegRef::int(10)),
+        [Some(RegRef::int(2)), None],
+        MemAccess {
             addr: 0x10_0008,
             width: 8,
             value: u64::MAX,
             fp: false,
-        }),
-        branch: None,
-    });
-    t.push(TraceEntry {
-        pc: 0x10008,
-        kind: OpKind::Store,
-        dst: None,
-        srcs: [Some(RegRef::int(2)), Some(RegRef::fp(4))],
-        mem: Some(MemAccess {
+        },
+    ));
+    t.push(TraceEntry::mem_op(
+        0x10008,
+        OpKind::Store,
+        None,
+        [Some(RegRef::int(2)), Some(RegRef::fp(4))],
+        MemAccess {
             addr: 0x10_0010,
             width: 4,
             value: 42,
             fp: true,
-        }),
-        branch: None,
-    });
-    t.push(TraceEntry {
-        pc: 0x1000c,
-        kind: OpKind::FpComplex,
-        dst: Some(RegRef::fp(1)),
-        srcs: [Some(RegRef::fp(2)), Some(RegRef::fp(3))],
-        mem: None,
-        branch: None,
-    });
-    t.push(TraceEntry {
-        pc: 0x10010,
-        kind: OpKind::CondBranch,
-        dst: None,
-        srcs: [Some(RegRef::int(5)), Some(RegRef::int(6))],
-        mem: None,
-        branch: Some(BranchEvent {
+        },
+    ));
+    t.push(TraceEntry::op(
+        0x1000c,
+        OpKind::FpComplex,
+        Some(RegRef::fp(1)),
+        [Some(RegRef::fp(2)), Some(RegRef::fp(3))],
+    ));
+    t.push(TraceEntry::control(
+        0x10010,
+        OpKind::CondBranch,
+        None,
+        [Some(RegRef::int(5)), Some(RegRef::int(6))],
+        BranchEvent {
             taken: true,
             target: 0x10000,
-        }),
-    });
-    t.push(TraceEntry {
-        pc: 0x10014,
-        kind: OpKind::System,
-        dst: None,
-        srcs: [None, None],
-        mem: None,
-        branch: None,
-    });
+        },
+    ));
+    t.push(TraceEntry::op(0x10014, OpKind::System, None, [None, None]));
     t
 }
 

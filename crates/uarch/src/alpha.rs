@@ -118,7 +118,7 @@ pub fn simulate_21164(
             ready = ready.max(reg_ready[src.flat_index()]);
         }
         let mut earliest = ready.max(stall_until);
-        match e.kind {
+        match e.kind() {
             OpKind::IntComplex => earliest = earliest.max(imul_busy),
             OpKind::FpComplex => earliest = earliest.max(fdiv_busy),
             _ => {}
@@ -133,7 +133,7 @@ pub fn simulate_21164(
                 used_fp = 0;
                 used_mem = 0;
             }
-            let (need_int, need_fp, need_mem) = match e.kind {
+            let (need_int, need_fp, need_mem) = match e.kind() {
                 OpKind::FpSimple | OpKind::FpComplex => (0usize, 1usize, 0usize),
                 OpKind::Load | OpKind::Store => (1, 0, 1),
                 _ => (1, 0, 0),
@@ -156,11 +156,11 @@ pub fn simulate_21164(
         debug_assert!(t >= last_issue, "out-of-order issue on an in-order core");
         last_issue = t;
         result.instructions += 1;
-        let mut finish = t + config.latency.result_latency(e.kind);
-        match e.kind {
+        let mut finish = t + config.latency.result_latency(e.kind());
+        match e.kind() {
             OpKind::Load => {
                 result.loads += 1;
-                let m = e.mem.expect("load entry must carry a memory access");
+                let m = e.mem().expect("load entry must carry a memory access");
                 let pred = outcomes.map(|o| {
                     let p = o[load_index];
                     load_index += 1;
@@ -212,7 +212,7 @@ pub fn simulate_21164(
                 }
             }
             OpKind::Store => {
-                let m = e.mem.expect("store entry must carry a memory access");
+                let m = e.mem().expect("store entry must carry a memory access");
                 result.l1_accesses += 1;
                 let extra = mem.access(m.addr);
                 if extra > 0 {
@@ -223,18 +223,18 @@ pub fn simulate_21164(
             }
             OpKind::CondBranch => {
                 result.branches += 1;
-                let ev = e.branch.expect("branch entry must carry outcome");
-                let predicted = bp.predict_taken(e.pc);
-                bp.update_taken(e.pc, ev.taken);
+                let ev = e.branch().expect("branch entry must carry outcome");
+                let predicted = bp.predict_taken(e.pc());
+                bp.update_taken(e.pc(), ev.taken);
                 if predicted != ev.taken {
                     result.mispredicts += 1;
                     stall_until = stall_until.max(t + 1 + config.latency.mispredict_penalty);
                 }
             }
             OpKind::IndirectJump => {
-                let ev = e.branch.expect("jump entry must carry target");
-                let hit = bp.predict_target(e.pc) == Some(ev.target);
-                bp.update_target(e.pc, ev.target);
+                let ev = e.branch().expect("jump entry must carry target");
+                let hit = bp.predict_target(e.pc()) == Some(ev.target);
+                bp.update_target(e.pc(), ev.target);
                 if !hit {
                     result.mispredicts += 1;
                     stall_until = stall_until.max(t + 1 + config.latency.mispredict_penalty);
@@ -249,7 +249,7 @@ pub fn simulate_21164(
             _ => {}
         }
 
-        if let Some(d) = e.dst {
+        if let Some(d) = e.dst() {
             reg_ready[d.flat_index()] = finish;
         }
         last_finish = last_finish.max(finish);
@@ -269,30 +269,27 @@ mod tests {
     use lvp_trace::{MemAccess, RegRef, TraceEntry};
 
     fn alu(dst: u8, src: Option<u8>) -> TraceEntry {
-        TraceEntry {
-            pc: 0x10000,
-            kind: OpKind::IntSimple,
-            dst: Some(RegRef::int(dst)),
-            srcs: [src.map(RegRef::int), None],
-            mem: None,
-            branch: None,
-        }
+        TraceEntry::op(
+            0x10000,
+            OpKind::IntSimple,
+            Some(RegRef::int(dst)),
+            [src.map(RegRef::int), None],
+        )
     }
 
     fn load(dst: u8, addr: u64) -> TraceEntry {
-        TraceEntry {
-            pc: 0x10010,
-            kind: OpKind::Load,
-            dst: Some(RegRef::int(dst)),
-            srcs: [Some(RegRef::int(2)), None],
-            mem: Some(MemAccess {
+        TraceEntry::mem_op(
+            0x10010,
+            OpKind::Load,
+            Some(RegRef::int(dst)),
+            [Some(RegRef::int(2)), None],
+            MemAccess {
                 addr,
                 width: 8,
                 value: 1,
                 fp: false,
-            }),
-            branch: None,
-        }
+            },
+        )
     }
 
     #[test]
@@ -403,14 +400,12 @@ mod tests {
         let mut entries = Vec::new();
         for i in 0..1000u64 {
             entries.push(alu((i % 4) as u8 + 10, None));
-            entries.push(TraceEntry {
-                pc: 0x10020,
-                kind: OpKind::FpSimple,
-                dst: Some(RegRef::fp((i % 4) as u8)),
-                srcs: [None, None],
-                mem: None,
-                branch: None,
-            });
+            entries.push(TraceEntry::op(
+                0x10020,
+                OpKind::FpSimple,
+                Some(RegRef::fp((i % 4) as u8)),
+                [None, None],
+            ));
         }
         let trace: Trace = entries.into_iter().collect();
         let r = simulate_21164(&trace, None, &Alpha21164Config::base());

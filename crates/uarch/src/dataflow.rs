@@ -84,7 +84,7 @@ pub fn dataflow_limit(
         for src in e.sources() {
             start = start.max(ready[src.flat_index()]);
         }
-        let pred = if e.kind == OpKind::Load {
+        let pred = if e.kind() == OpKind::Load {
             outcomes.map(|o| {
                 let p = o[load_index];
                 load_index += 1;
@@ -96,8 +96,8 @@ pub fn dataflow_limit(
         // Store-to-load memory dependence: the load cannot produce before
         // the youngest store it reads from — unless its value is usably
         // predicted, which breaks the memory edge too.
-        if e.kind == OpKind::Load && !pred.is_some_and(|p| p.usable()) {
-            if let Some(m) = e.mem {
+        if e.kind() == OpKind::Load && !pred.is_some_and(|p| p.usable()) {
+            if let Some(m) = e.mem() {
                 for b in m.addr..m.addr + m.width as u64 {
                     if let Some(&t) = mem_ready.get(&b) {
                         start = start.max(t);
@@ -105,7 +105,7 @@ pub fn dataflow_limit(
                 }
             }
         }
-        let mut finish = start + latency.result_latency(e.kind);
+        let mut finish = start + latency.result_latency(e.kind());
         match pred {
             // The value was forwarded at dispatch: consumers no longer
             // wait on the load at all.
@@ -114,14 +114,14 @@ pub fn dataflow_limit(
             Some(PredOutcome::Incorrect) => finish = start + latency.load + 1,
             _ => {}
         }
-        if e.kind == OpKind::Store {
-            if let Some(m) = e.mem {
+        if e.kind() == OpKind::Store {
+            if let Some(m) = e.mem() {
                 for b in m.addr..m.addr + m.width as u64 {
                     mem_ready.insert(b, finish);
                 }
             }
         }
-        if let Some(d) = e.dst {
+        if let Some(d) = e.dst() {
             ready[d.flat_index()] = finish;
         }
         critical = critical.max(finish);
@@ -138,30 +138,27 @@ mod tests {
     use lvp_trace::{MemAccess, RegRef, TraceEntry};
 
     fn load(dst: u8, src: u8) -> TraceEntry {
-        TraceEntry {
-            pc: 0x1000,
-            kind: OpKind::Load,
-            dst: Some(RegRef::int(dst)),
-            srcs: [Some(RegRef::int(src)), None],
-            mem: Some(MemAccess {
+        TraceEntry::mem_op(
+            0x1000,
+            OpKind::Load,
+            Some(RegRef::int(dst)),
+            [Some(RegRef::int(src)), None],
+            MemAccess {
                 addr: 0x10_0000,
                 width: 8,
                 value: 0,
                 fp: false,
-            }),
-            branch: None,
-        }
+            },
+        )
     }
 
     fn alu(dst: u8, src: u8) -> TraceEntry {
-        TraceEntry {
-            pc: 0x1004,
-            kind: OpKind::IntSimple,
-            dst: Some(RegRef::int(dst)),
-            srcs: [Some(RegRef::int(src)), None],
-            mem: None,
-            branch: None,
-        }
+        TraceEntry::op(
+            0x1004,
+            OpKind::IntSimple,
+            Some(RegRef::int(dst)),
+            [Some(RegRef::int(src)), None],
+        )
     }
 
     #[test]
@@ -205,19 +202,18 @@ mod tests {
         // through memory: each round costs store(2) + load(2) + alu(1).
         let mut entries = Vec::new();
         for _ in 0..10 {
-            entries.push(TraceEntry {
-                pc: 0x1000,
-                kind: OpKind::Store,
-                dst: None,
-                srcs: [Some(RegRef::int(2)), Some(RegRef::int(5))],
-                mem: Some(MemAccess {
+            entries.push(TraceEntry::mem_op(
+                0x1000,
+                OpKind::Store,
+                None,
+                [Some(RegRef::int(2)), Some(RegRef::int(5))],
+                MemAccess {
                     addr: 0x10_0000,
                     width: 8,
                     value: 0,
                     fp: false,
-                }),
-                branch: None,
-            });
+                },
+            ));
             entries.push(load(6, 2));
             entries.push(alu(5, 6));
         }

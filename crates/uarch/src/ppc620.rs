@@ -723,7 +723,7 @@ impl<'a> Core<'a> {
                 break;
             }
             debug_assert_eq!(s.seq, self.result.instructions, "retirement out of order");
-            debug_assert_eq!(s.kind, self.entries[s.seq as usize].kind);
+            debug_assert_eq!(s.kind, self.entries[s.seq as usize].kind());
             self.head_seq += 1;
             self.len -= 1;
             retired += 1;
@@ -929,15 +929,15 @@ impl<'a> Core<'a> {
             && self.len < config.completion_buffer
         {
             let e = &entries[self.next_dispatch];
-            let fu = fu_of(e.kind);
+            let fu = fu_of(e.kind());
             if self.rs_used[fu_ix(fu)] >= config.rs_per_class {
                 break;
             }
-            if e.kind.is_mem() && mem_dispatched >= config.mem_dispatch_per_cycle {
+            if e.kind().is_mem() && mem_dispatched >= config.mem_dispatch_per_cycle {
                 break;
             }
             // Rename buffer for the destination.
-            let dst = e.dst.map(|d| d.flat_index());
+            let dst = e.dst().map(|d| d.flat_index());
             match dst {
                 Some(d) if d < 32 && self.gpr_free == 0 => break,
                 Some(d) if d >= 32 && self.fpr_free == 0 => break,
@@ -948,21 +948,21 @@ impl<'a> Core<'a> {
             let pos = seq as usize & self.mask;
             // Branch prediction.
             let mut mispredicted = false;
-            match e.kind {
+            match e.kind() {
                 OpKind::CondBranch => {
                     self.result.branches += 1;
-                    let taken = e.branch.expect("branch entry must carry outcome").taken;
-                    let predicted = self.bp.predict_taken(e.pc);
-                    self.bp.update_taken(e.pc, taken);
+                    let taken = e.branch().expect("branch entry must carry outcome").taken;
+                    let predicted = self.bp.predict_taken(e.pc());
+                    self.bp.update_taken(e.pc(), taken);
                     if predicted != taken {
                         self.result.mispredicts += 1;
                         mispredicted = true;
                     }
                 }
                 OpKind::IndirectJump => {
-                    let target = e.branch.expect("jump entry must carry target").target;
-                    let hit = self.bp.predict_target(e.pc) == Some(target);
-                    self.bp.update_target(e.pc, target);
+                    let target = e.branch().expect("jump entry must carry target").target;
+                    let hit = self.bp.predict_target(e.pc()) == Some(target);
+                    self.bp.update_target(e.pc(), target);
                     if !hit {
                         self.result.mispredicts += 1;
                         mispredicted = true;
@@ -972,7 +972,7 @@ impl<'a> Core<'a> {
             }
 
             // LVP annotation for loads.
-            let pred = if e.kind == OpKind::Load {
+            let pred = if e.kind() == OpKind::Load {
                 let p = self.outcomes.map(|o| o[self.load_index]);
                 self.load_index += 1;
                 p
@@ -986,7 +986,7 @@ impl<'a> Core<'a> {
             self.first_use[pos] = NIL;
             let mut src_producers = [None, None];
             let mut pending = 0u8;
-            for (k, src) in e.srcs.iter().enumerate() {
+            for (k, src) in e.srcs().iter().enumerate() {
                 let Some(p) = src.and_then(|r| self.reg_producer[r.flat_index()]) else {
                     continue;
                 };
@@ -1015,15 +1015,15 @@ impl<'a> Core<'a> {
             // (`issue_cycle`, `operand_wait`, `spec`) are set at issue.
             let s = &mut self.ring[pos];
             s.seq = seq;
-            s.mem_addr = e.mem.map_or(0, |m| m.addr);
+            s.mem_addr = e.mem().map_or(0, |m| m.addr);
             s.src_producers = src_producers;
             s.dispatch_cycle = cycle;
             s.finish_cycle = u64::MAX;
             s.verify_cycle = u64::MAX;
-            s.kind = e.kind;
+            s.kind = e.kind();
             s.fu = fu;
             s.pred = pred;
-            s.forwards = e.kind == OpKind::Load && pred.is_some_and(|p| p.predicted());
+            s.forwards = e.kind() == OpKind::Load && pred.is_some_and(|p| p.predicted());
             s.state = State::Waiting;
             s.dst = dst.map(|d| d as u8);
             s.holds_rs = true;
@@ -1035,7 +1035,7 @@ impl<'a> Core<'a> {
             self.len += 1;
             self.next_dispatch += 1;
             dispatched += 1;
-            if e.kind.is_mem() {
+            if e.kind().is_mem() {
                 mem_dispatched += 1;
             }
             if mispredicted {
@@ -1398,15 +1398,15 @@ mod tests {
                     && window.len() < config.completion_buffer
                 {
                     let e = &entries[next_dispatch];
-                    let fu = fu_of(e.kind);
+                    let fu = fu_of(e.kind());
                     if rs_used[fu_ix(fu)] >= rs_cap {
                         break;
                     }
-                    if e.kind.is_mem() && mem_dispatched >= config.mem_dispatch_per_cycle {
+                    if e.kind().is_mem() && mem_dispatched >= config.mem_dispatch_per_cycle {
                         break;
                     }
                     // Rename buffer for the destination.
-                    let dst = e.dst.map(|d| d.flat_index());
+                    let dst = e.dst().map(|d| d.flat_index());
                     match dst {
                         Some(d) if d < 32 && gpr_free == 0 => break,
                         Some(d) if d >= 32 && fpr_free == 0 => break,
@@ -1416,21 +1416,21 @@ mod tests {
                     let seq = head_seq + window.len() as u64;
                     // Branch prediction.
                     let mut mispredicted = false;
-                    match e.kind {
+                    match e.kind() {
                         OpKind::CondBranch => {
                             result.branches += 1;
-                            let taken = e.branch.expect("branch entry must carry outcome").taken;
-                            let predicted = bp.predict_taken(e.pc);
-                            bp.update_taken(e.pc, taken);
+                            let taken = e.branch().expect("branch entry must carry outcome").taken;
+                            let predicted = bp.predict_taken(e.pc());
+                            bp.update_taken(e.pc(), taken);
                             if predicted != taken {
                                 result.mispredicts += 1;
                                 mispredicted = true;
                             }
                         }
                         OpKind::IndirectJump => {
-                            let target = e.branch.expect("jump entry must carry target").target;
-                            let hit = bp.predict_target(e.pc) == Some(target);
-                            bp.update_target(e.pc, target);
+                            let target = e.branch().expect("jump entry must carry target").target;
+                            let hit = bp.predict_target(e.pc()) == Some(target);
+                            bp.update_target(e.pc(), target);
                             if !hit {
                                 result.mispredicts += 1;
                                 mispredicted = true;
@@ -1440,7 +1440,7 @@ mod tests {
                     }
 
                     // LVP annotation for loads.
-                    let pred = if e.kind == OpKind::Load {
+                    let pred = if e.kind() == OpKind::Load {
                         let p = outcomes.map(|o| o[load_index]);
                         load_index += 1;
                         p
@@ -1449,7 +1449,7 @@ mod tests {
                     };
 
                     let mut src_producers = [None, None];
-                    for (k, src) in e.srcs.iter().enumerate() {
+                    for (k, src) in e.srcs().iter().enumerate() {
                         if let Some(r) = src {
                             src_producers[k] = reg_producer[r.flat_index()];
                         }
@@ -1466,10 +1466,10 @@ mod tests {
 
                     window.push_back(Slot {
                         seq,
-                        kind: e.kind,
+                        kind: e.kind(),
                         fu,
                         pred,
-                        mem_addr: e.mem.map_or(0, |m| m.addr),
+                        mem_addr: e.mem().map_or(0, |m| m.addr),
                         dst,
                         src_producers,
                         state: State::Waiting,
@@ -1486,7 +1486,7 @@ mod tests {
                     });
                     next_dispatch += 1;
                     dispatched += 1;
-                    if e.kind.is_mem() {
+                    if e.kind().is_mem() {
                         mem_dispatched += 1;
                     }
                     if mispredicted {
@@ -1685,30 +1685,27 @@ mod tests {
     }
 
     fn alu(pc: u64, dst: u8, srcs: [Option<u8>; 2]) -> TraceEntry {
-        TraceEntry {
+        TraceEntry::op(
             pc,
-            kind: OpKind::IntSimple,
-            dst: Some(RegRef::int(dst)),
-            srcs: [srcs[0].map(RegRef::int), srcs[1].map(RegRef::int)],
-            mem: None,
-            branch: None,
-        }
+            OpKind::IntSimple,
+            Some(RegRef::int(dst)),
+            [srcs[0].map(RegRef::int), srcs[1].map(RegRef::int)],
+        )
     }
 
     fn load(pc: u64, dst: u8, addr: u64) -> TraceEntry {
-        TraceEntry {
+        TraceEntry::mem_op(
             pc,
-            kind: OpKind::Load,
-            dst: Some(RegRef::int(dst)),
-            srcs: [Some(RegRef::int(2)), None],
-            mem: Some(MemAccess {
+            OpKind::Load,
+            Some(RegRef::int(dst)),
+            [Some(RegRef::int(2)), None],
+            MemAccess {
                 addr,
                 width: 8,
                 value: 1,
                 fp: false,
-            }),
-            branch: None,
-        }
+            },
+        )
     }
 
     fn run(entries: &[TraceEntry], outcomes: Option<&[PredOutcome]>) -> SimResult {
@@ -1741,38 +1738,30 @@ mod tests {
             let dst = (10 + (r >> 8) % 8) as u8;
             let src = (10 + (r >> 16) % 8) as u8;
             let e = match r % 100 {
-                0..=39 => TraceEntry {
+                0..=39 => TraceEntry::op(
                     pc,
-                    kind: OpKind::IntSimple,
-                    dst: Some(RegRef::int(dst)),
-                    srcs: [Some(RegRef::int(src)), None],
-                    mem: None,
-                    branch: None,
-                },
-                40..=49 => TraceEntry {
+                    OpKind::IntSimple,
+                    Some(RegRef::int(dst)),
+                    [Some(RegRef::int(src)), None],
+                ),
+                40..=49 => TraceEntry::op(
                     pc,
-                    kind: OpKind::IntComplex,
-                    dst: Some(RegRef::int(dst)),
-                    srcs: [Some(RegRef::int(src)), Some(RegRef::int(2))],
-                    mem: None,
-                    branch: None,
-                },
-                50..=54 => TraceEntry {
+                    OpKind::IntComplex,
+                    Some(RegRef::int(dst)),
+                    [Some(RegRef::int(src)), Some(RegRef::int(2))],
+                ),
+                50..=54 => TraceEntry::op(
                     pc,
-                    kind: OpKind::FpSimple,
-                    dst: Some(RegRef::fp(dst)),
-                    srcs: [Some(RegRef::fp(src)), None],
-                    mem: None,
-                    branch: None,
-                },
-                55..=59 => TraceEntry {
+                    OpKind::FpSimple,
+                    Some(RegRef::fp(dst)),
+                    [Some(RegRef::fp(src)), None],
+                ),
+                55..=59 => TraceEntry::op(
                     pc,
-                    kind: OpKind::FpComplex,
-                    dst: Some(RegRef::fp(dst)),
-                    srcs: [Some(RegRef::fp(src)), Some(RegRef::fp(2))],
-                    mem: None,
-                    branch: None,
-                },
+                    OpKind::FpComplex,
+                    Some(RegRef::fp(dst)),
+                    [Some(RegRef::fp(src)), Some(RegRef::fp(2))],
+                ),
                 60..=79 => {
                     // Mix cache-resident and striding (miss-prone) loads.
                     let addr = if r.is_multiple_of(3) {
@@ -1782,30 +1771,28 @@ mod tests {
                     };
                     load(pc, dst, addr)
                 }
-                80..=89 => TraceEntry {
+                80..=89 => TraceEntry::mem_op(
                     pc,
-                    kind: OpKind::Store,
-                    dst: None,
-                    srcs: [Some(RegRef::int(src)), Some(RegRef::int(2))],
-                    mem: Some(MemAccess {
+                    OpKind::Store,
+                    None,
+                    [Some(RegRef::int(src)), Some(RegRef::int(2))],
+                    MemAccess {
                         addr: 0x30_0000 + ((r >> 24) % 64) * 8,
                         width: 8,
                         value: 0,
                         fp: false,
-                    }),
-                    branch: None,
-                },
-                _ => TraceEntry {
+                    },
+                ),
+                _ => TraceEntry::control(
                     pc,
-                    kind: OpKind::CondBranch,
-                    dst: None,
-                    srcs: [Some(RegRef::int(src)), None],
-                    mem: None,
-                    branch: Some(BranchEvent {
+                    OpKind::CondBranch,
+                    None,
+                    [Some(RegRef::int(src)), None],
+                    BranchEvent {
                         taken: (r >> 32).is_multiple_of(3),
                         target: pc + 8,
-                    }),
-                },
+                    },
+                ),
             };
             entries.push(e);
             let _ = i;
@@ -1863,9 +1850,7 @@ mod tests {
     fn optimized_matches_reference_on_structured_traces() {
         let mut entries = Vec::new();
         for i in 0..800u64 {
-            let mut l = load(0x10000, 10, 0x10_0000 + (i % 4) * 64);
-            l.srcs = [Some(RegRef::int(2)), None];
-            entries.push(l);
+            entries.push(load(0x10000, 10, 0x10_0000 + (i % 4) * 64));
             entries.push(alu(0x10004, 2, [Some(10), None]));
         }
         let trace: Trace = entries.into_iter().collect();
@@ -2066,17 +2051,13 @@ mod tests {
         let mut entries = Vec::new();
         for i in 0..2000u64 {
             // load r10 <- [r2 + ...], then r2 <- f(r10)
-            let mut l = load(0x10000, 10, 0x10_0000 + (i % 4) * 64);
-            l.srcs = [Some(RegRef::int(2)), None];
-            entries.push(l);
-            entries.push(TraceEntry {
-                pc: 0x10004,
-                kind: OpKind::IntSimple,
-                dst: Some(RegRef::int(2)),
-                srcs: [Some(RegRef::int(10)), None],
-                mem: None,
-                branch: None,
-            });
+            entries.push(load(0x10000, 10, 0x10_0000 + (i % 4) * 64));
+            entries.push(TraceEntry::op(
+                0x10004,
+                OpKind::IntSimple,
+                Some(RegRef::int(2)),
+                [Some(RegRef::int(10)), None],
+            ));
         }
         let trace: Trace = entries.into_iter().collect();
         let base = simulate_620(&trace, None, &Ppc620Config::base());
@@ -2138,33 +2119,31 @@ mod tests {
         let mut entries = Vec::new();
         for i in 0..500u64 {
             entries.push(alu(0x10000, 10, [None, None]));
-            entries.push(TraceEntry {
-                pc: 0x10004,
-                kind: OpKind::CondBranch,
-                dst: None,
-                srcs: [Some(RegRef::int(10)), None],
-                mem: None,
-                branch: Some(BranchEvent {
+            entries.push(TraceEntry::control(
+                0x10004,
+                OpKind::CondBranch,
+                None,
+                [Some(RegRef::int(10)), None],
+                BranchEvent {
                     taken: i % 2 == 0,
                     target: 0x10008,
-                }),
-            });
+                },
+            ));
         }
         let alternating: Trace = entries.into_iter().collect();
         let mut entries2 = Vec::new();
         for _ in 0..500u64 {
             entries2.push(alu(0x10000, 10, [None, None]));
-            entries2.push(TraceEntry {
-                pc: 0x10004,
-                kind: OpKind::CondBranch,
-                dst: None,
-                srcs: [Some(RegRef::int(10)), None],
-                mem: None,
-                branch: Some(BranchEvent {
+            entries2.push(TraceEntry::control(
+                0x10004,
+                OpKind::CondBranch,
+                None,
+                [Some(RegRef::int(10)), None],
+                BranchEvent {
                     taken: true,
                     target: 0x10008,
-                }),
-            });
+                },
+            ));
         }
         let steady: Trace = entries2.into_iter().collect();
         let r1 = simulate_620(&alternating, None, &Ppc620Config::base());

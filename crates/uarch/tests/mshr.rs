@@ -4,20 +4,20 @@ use lvp_trace::{MemAccess, OpKind, RegRef, Trace, TraceEntry};
 use lvp_uarch::{simulate_620, Ppc620Config};
 
 fn missing_load(pc: u64, dst: u8, i: u64) -> TraceEntry {
-    TraceEntry {
+    // Every load misses: stride far beyond the L1.
+    let access = MemAccess {
+        addr: 0x10_0000 + i * 8192,
+        width: 8,
+        value: 0,
+        fp: false,
+    };
+    TraceEntry::mem_op(
         pc,
-        kind: OpKind::Load,
-        dst: Some(RegRef::int(dst)),
-        srcs: [Some(RegRef::int(2)), None],
-        // Every load misses: stride far beyond the L1.
-        mem: Some(MemAccess {
-            addr: 0x10_0000 + i * 8192,
-            width: 8,
-            value: 0,
-            fp: false,
-        }),
-        branch: None,
-    }
+        OpKind::Load,
+        Some(RegRef::int(dst)),
+        [Some(RegRef::int(2)), None],
+        access,
+    )
 }
 
 #[test]

@@ -151,66 +151,55 @@ impl Op {
 
     fn entry(self) -> TraceEntry {
         let pc = |i: u64| 0x10000 + i * 4;
-        let mem = |slot: u64, value: u64| {
-            Some(MemAccess {
-                addr: 0x10_0000 + slot * 8,
-                width: 8,
-                value,
-                fp: false,
-            })
+        let mem = |slot: u64, value: u64| MemAccess {
+            addr: 0x10_0000 + slot * 8,
+            width: 8,
+            value,
+            fp: false,
         };
         match self {
-            Alu(i, rd, rs) => TraceEntry {
-                pc: pc(i),
-                kind: OpKind::IntSimple,
-                dst: Some(RegRef::int(rd)),
-                srcs: [Some(RegRef::int(rs)), None],
-                mem: None,
-                branch: None,
-            },
-            Mul(i, rd) => TraceEntry {
-                pc: pc(i),
-                kind: OpKind::IntComplex,
-                dst: Some(RegRef::int(rd)),
-                srcs: [None, None],
-                mem: None,
-                branch: None,
-            },
-            Load(i, rd, slot) => TraceEntry {
-                pc: pc(i),
-                kind: OpKind::Load,
-                dst: Some(RegRef::int(rd)),
-                srcs: [Some(RegRef::int(2)), None],
-                mem: mem(slot, slot),
-                branch: None,
-            },
-            Store(i, rs, slot) => TraceEntry {
-                pc: pc(i),
-                kind: OpKind::Store,
-                dst: None,
-                srcs: [Some(RegRef::int(2)), Some(RegRef::int(rs))],
-                mem: mem(slot, 1),
-                branch: None,
-            },
-            Branch(i, taken) => TraceEntry {
-                pc: pc(i),
-                kind: OpKind::CondBranch,
-                dst: None,
-                srcs: [Some(RegRef::int(5)), None],
-                mem: None,
-                branch: Some(BranchEvent {
+            Alu(i, rd, rs) => TraceEntry::op(
+                pc(i),
+                OpKind::IntSimple,
+                Some(RegRef::int(rd)),
+                [Some(RegRef::int(rs)), None],
+            ),
+            Mul(i, rd) => TraceEntry::op(
+                pc(i),
+                OpKind::IntComplex,
+                Some(RegRef::int(rd)),
+                [None, None],
+            ),
+            Load(i, rd, slot) => TraceEntry::mem_op(
+                pc(i),
+                OpKind::Load,
+                Some(RegRef::int(rd)),
+                [Some(RegRef::int(2)), None],
+                mem(slot, slot),
+            ),
+            Store(i, rs, slot) => TraceEntry::mem_op(
+                pc(i),
+                OpKind::Store,
+                None,
+                [Some(RegRef::int(2)), Some(RegRef::int(rs))],
+                mem(slot, 1),
+            ),
+            Branch(i, taken) => TraceEntry::control(
+                pc(i),
+                OpKind::CondBranch,
+                None,
+                [Some(RegRef::int(5)), None],
+                BranchEvent {
                     taken,
                     target: 0x10000,
-                }),
-            },
-            FpDiv(i, fd) => TraceEntry {
-                pc: pc(i),
-                kind: OpKind::FpComplex,
-                dst: Some(RegRef::fp(fd)),
-                srcs: [Some(RegRef::fp(0)), None],
-                mem: None,
-                branch: None,
-            },
+                },
+            ),
+            FpDiv(i, fd) => TraceEntry::op(
+                pc(i),
+                OpKind::FpComplex,
+                Some(RegRef::fp(fd)),
+                [Some(RegRef::fp(0)), None],
+            ),
         }
     }
 }

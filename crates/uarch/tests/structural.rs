@@ -7,56 +7,39 @@ use lvp_trace::{PredOutcome, RegRef};
 use lvp_uarch::{simulate_620, Ppc620Config};
 
 fn alu(pc: u64, dst: u8) -> TraceEntry {
-    TraceEntry {
-        pc,
-        kind: OpKind::IntSimple,
-        dst: Some(RegRef::int(dst)),
-        srcs: [None, None],
-        mem: None,
-        branch: None,
-    }
+    TraceEntry::op(pc, OpKind::IntSimple, Some(RegRef::int(dst)), [None, None])
 }
 
 fn fp(pc: u64, dst: u8, complex: bool) -> TraceEntry {
-    TraceEntry {
+    TraceEntry::op(
         pc,
-        kind: if complex {
+        if complex {
             OpKind::FpComplex
         } else {
             OpKind::FpSimple
         },
-        dst: Some(RegRef::fp(dst)),
-        srcs: [None, None],
-        mem: None,
-        branch: None,
-    }
+        Some(RegRef::fp(dst)),
+        [None, None],
+    )
 }
 
 fn mul(pc: u64, dst: u8) -> TraceEntry {
-    TraceEntry {
-        pc,
-        kind: OpKind::IntComplex,
-        dst: Some(RegRef::int(dst)),
-        srcs: [None, None],
-        mem: None,
-        branch: None,
-    }
+    TraceEntry::op(pc, OpKind::IntComplex, Some(RegRef::int(dst)), [None, None])
 }
 
 fn load(pc: u64, dst: u8, addr: u64) -> TraceEntry {
-    TraceEntry {
+    TraceEntry::mem_op(
         pc,
-        kind: OpKind::Load,
-        dst: Some(RegRef::int(dst)),
-        srcs: [Some(RegRef::int(2)), None],
-        mem: Some(MemAccess {
+        OpKind::Load,
+        Some(RegRef::int(dst)),
+        [Some(RegRef::int(2)), None],
+        MemAccess {
             addr,
             width: 8,
             value: 0,
             fp: false,
-        }),
-        branch: None,
-    }
+        },
+    )
 }
 
 #[test]
@@ -148,16 +131,17 @@ fn indirect_jumps_pay_btb_misses() {
     let mut alternating = Vec::new();
     let mut stable = Vec::new();
     for i in 0..300u64 {
-        let e = |target: u64| TraceEntry {
-            pc: 0x10004,
-            kind: OpKind::IndirectJump,
-            dst: None,
-            srcs: [Some(RegRef::int(1)), None],
-            mem: None,
-            branch: Some(BranchEvent {
-                taken: true,
-                target,
-            }),
+        let e = |target: u64| {
+            TraceEntry::control(
+                0x10004,
+                OpKind::IndirectJump,
+                None,
+                [Some(RegRef::int(1)), None],
+                BranchEvent {
+                    taken: true,
+                    target,
+                },
+            )
         };
         alternating.push(alu(0x10000, 10));
         alternating.push(e(if i % 2 == 0 { 0x20000 } else { 0x30000 }));
@@ -177,17 +161,13 @@ fn lvp_collapses_load_to_mul_chains() {
     // chain mixing LSU and MCFX, ideal for LVP.
     let mut entries = Vec::new();
     for i in 0..200u64 {
-        let mut l = load(0x10000, 10, 0x10_0000 + (i % 4) * 64);
-        l.srcs = [Some(RegRef::int(2)), None];
-        entries.push(l);
-        entries.push(TraceEntry {
-            pc: 0x10004,
-            kind: OpKind::IntComplex,
-            dst: Some(RegRef::int(2)),
-            srcs: [Some(RegRef::int(10)), None],
-            mem: None,
-            branch: None,
-        });
+        entries.push(load(0x10000, 10, 0x10_0000 + (i % 4) * 64));
+        entries.push(TraceEntry::op(
+            0x10004,
+            OpKind::IntComplex,
+            Some(RegRef::int(2)),
+            [Some(RegRef::int(10)), None],
+        ));
     }
     let trace: Trace = entries.into_iter().collect();
     let cfg = Ppc620Config::base();
@@ -210,19 +190,18 @@ fn store_heavy_code_contends_for_banks() {
     let mut entries = Vec::new();
     for i in 0..400u64 {
         entries.push(load(0x10000, 10, 0x10_0000 + (i % 4) * 256)); // bank 0
-        entries.push(TraceEntry {
-            pc: 0x10004,
-            kind: OpKind::Store,
-            dst: None,
-            srcs: [Some(RegRef::int(2)), Some(RegRef::int(10))],
-            mem: Some(MemAccess {
+        entries.push(TraceEntry::mem_op(
+            0x10004,
+            OpKind::Store,
+            None,
+            [Some(RegRef::int(2)), Some(RegRef::int(10))],
+            MemAccess {
                 addr: 0x10_0100 + (i % 4) * 256,
                 width: 8,
                 value: 0,
                 fp: false,
-            }),
-            branch: None,
-        });
+            },
+        ));
     }
     let trace: Trace = entries.into_iter().collect();
     let r = simulate_620(&trace, None, &Ppc620Config::base());
